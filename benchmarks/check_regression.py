@@ -43,11 +43,8 @@ METRICS: list[tuple[str, str, str]] = [
     ("perf_stream", "durability.restore_s", "lower"),
     ("perf_infer", "batches.1.speedup", "higher"),
     ("perf_infer", "batches.64.speedup", "higher"),
-    ("perf_infer", "serve.speedup", "higher"),
     ("perf_infer", "shape_churn.speedup", "higher"),
     ("perf_infer", "shape_churn.polymorphic_windows_per_s", "higher"),
-    ("perf_infer", "precision_sweep.float32.windows_per_s_b1", "higher"),
-    ("perf_infer", "precision_sweep.int8.windows_per_s_b64", "higher"),
     ("scale_curve", "summary.w1_aggregate_ingest_ticks_per_s", "higher"),
     ("scale_curve", "summary.w4_aggregate_ingest_ticks_per_s", "higher"),
     ("scale_curve", "summary.ingest_speedup_4w", "higher"),

@@ -4,15 +4,13 @@ The claim behind ``repro.infer``: exporting the fitted student into a
 flat numpy tape (no Tensor wrapping, no graph bookkeeping, preallocated
 scratch, attention skipped) must return *bitwise identical* forecasts
 while cutting per-window cost — >= 3x at batch 1, where autograd
-overhead dominates, and measurably through the coalesced serve path.
+overhead dominates, and measurably at serve batch sizes.
 
-Second-generation additions: the **shape-churn scenario** pits the
-polymorphic engine (one compile at its batch capacity, every batch size
-served from stride-adjusted views, zero rebuilds after warmup) against
-the v1 per-batch-shape behavior (each new coalesced size pays a tape
-rebuild + probe on the hot path) and demands >= 2x; the **precision
-sweep** records float32/mixed/int8 throughput and probe error into the
-trajectory JSON.
+The **shape-churn scenario** pits the polymorphic engine (one compile
+at its batch capacity, every batch size served from stride-adjusted
+views, zero rebuilds after warmup) against the v1 per-batch-shape
+behavior (each new coalesced size pays a tape rebuild + probe on the
+hot path) and demands >= 2x.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ from conftest import bench_dir, run_once
 
 from repro.core import TimeKDConfig
 from repro.core.student import StudentModel
-from repro.data import StandardScaler
 from repro.infer import CompiledStudent
-from repro.serve import ForecastService, save_student_artifact
 
 #: Paper-shape student (Section V-A4 defaults: d_model 64, 2 layers).
 CONFIG = TimeKDConfig(history_length=96, horizon=24, num_variables=7)
@@ -46,19 +42,28 @@ CHURN_REQUESTS = 40
 CHURN_MAX_BATCH = 64
 
 
-def _best_seconds_per_call(fn, x, repeats: int = 15, inner: int = 30) -> float:
-    """Best-of-``repeats`` mean call time — robust to scheduler noise."""
-    fn(x)  # warm-up: builds plans / tensors outside the timed region
-    best = float("inf")
+def _best_seconds_per_call(fns, x, repeats: int = 15,
+                           inner: int = 30) -> list[float]:
+    """Best-of-``repeats`` mean call time of each of ``fns``.
+
+    The functions take turns within every repeat, so a host slowdown
+    that lasts longer than one repeat hits all of them alike instead of
+    skewing their ratio.
+    """
+    for fn in fns:
+        fn(x)  # warm-up: builds plans / tensors outside the timed region
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn(x)
-        best = min(best, (time.perf_counter() - start) / inner)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(inner):
+                fn(x)
+            best[index] = min(best[index],
+                              (time.perf_counter() - start) / inner)
     return best
 
 
-def test_compiled_engine_speedup(benchmark, tmp_path_factory):
+def test_compiled_engine_speedup(benchmark):
     student = StudentModel(CONFIG)
     student.eval()
     rng = np.random.default_rng(0)
@@ -66,12 +71,6 @@ def test_compiled_engine_speedup(benchmark, tmp_path_factory):
         p.data[...] = rng.standard_normal(p.data.shape).astype(
             np.float32) * 0.1
     engine = CompiledStudent(student)
-
-    artifact_dir = str(tmp_path_factory.mktemp("infer-bench"))
-    scaler = StandardScaler().fit(rng.normal(1.0, 2.0, size=(500, 7)))
-    save_student_artifact(
-        os.path.join(artifact_dir, "ettm1-h24.npz"), student, CONFIG,
-        scaler=scaler, metadata={"dataset": "ETTm1"})
     windows = rng.normal(
         size=(NUM_REQUESTS, CONFIG.history_length,
               CONFIG.num_variables)).astype(np.float32)
@@ -92,8 +91,8 @@ def test_compiled_engine_speedup(benchmark, tmp_path_factory):
                 engine.predict(x), student.predict(x),
                 err_msg="compiled engine must be bitwise identical "
                 "to the module forward")
-            module_s = _best_seconds_per_call(student.predict, x)
-            compiled_s = _best_seconds_per_call(engine.predict, x)
+            module_s, compiled_s = _best_seconds_per_call(
+                (student.predict, engine.predict), x)
             result["batches"][str(batch)] = {
                 "module_windows_per_s": batch / module_s,
                 "compiled_windows_per_s": batch / compiled_s,
@@ -109,47 +108,6 @@ def test_compiled_engine_speedup(benchmark, tmp_path_factory):
             assert batched >= 1.15, (
                 f"expected measurable batched gains at B={batch}, got "
                 f"{batched:.2f}x")
-
-        # The coalesced serve path: same burst of requests drained by
-        # the micro-batch queue, module vs compiled engine per entry.
-        serve_rps = {}
-        for engine_name in ("module", "compiled"):
-            with ForecastService(artifact_dir, max_batch=64,
-                                 engine=engine_name) as service:
-                service.predict(windows[0])  # lazy-load + warm-up
-
-                def burst() -> tuple[list, float]:
-                    start = time.perf_counter()
-                    service.pause()  # a burst of concurrent clients
-                    futures = [service.submit(w) for w in windows]
-                    service.resume()
-                    forecasts = [f.result() for f in futures]
-                    return forecasts, time.perf_counter() - start
-
-                # First burst warms per-drain-size scratch plans (a
-                # steady-state serving loop pays that only once); then
-                # best-of-3 to shrug off scheduler noise.
-                burst()
-                forecasts, elapsed = min(
-                    (burst() for _ in range(3)), key=lambda r: r[1])
-                serve_rps[engine_name] = NUM_REQUESTS / max(elapsed, 1e-9)
-                assert service.stats.max_coalesced > 1
-            if engine_name == "module":
-                reference = forecasts
-            else:
-                for a, b in zip(reference, forecasts):
-                    np.testing.assert_array_equal(
-                        a, b, err_msg="served forecasts must not depend "
-                        "on the engine")
-        result["serve"] = {
-            "requests": NUM_REQUESTS,
-            "module_rps": serve_rps["module"],
-            "compiled_rps": serve_rps["compiled"],
-            "speedup": serve_rps["compiled"] / serve_rps["module"],
-        }
-        # Queue bookkeeping bounds the end-to-end serve gain; demand no
-        # regression (the forward-level gain is asserted above).
-        assert result["serve"]["speedup"] >= 0.9
 
         # ----------------------------------------------------------
         # Shape churn: varying coalesced batch sizes through ONE engine.
@@ -216,37 +174,6 @@ def test_compiled_engine_speedup(benchmark, tmp_path_factory):
             f"shape-polymorphic plan under batch-size churn, got "
             f"{churn_speedup:.2f}x")
 
-        # ----------------------------------------------------------
-        # Precision sweep: float32 / mixed / int8 throughput + error.
-        # ----------------------------------------------------------
-        sweep = {}
-        reference = {batch: engine.predict(windows[:batch])
-                     for batch in (1, 64)}
-        for precision in ("float32", "mixed", "int8"):
-            eng = CompiledStudent(student, precision=precision,
-                                  max_batch=64)
-            row: dict = {}
-            for batch in (1, 64):
-                x = windows[:batch]
-                seconds = _best_seconds_per_call(eng.predict, x)
-                row[f"windows_per_s_b{batch}"] = batch / seconds
-                error = float(np.abs(
-                    eng.predict(x).astype(np.float64)
-                    - reference[batch].astype(np.float64)).max())
-                row[f"max_abs_error_b{batch}"] = error
-            if precision == "float32":
-                assert row["max_abs_error_b1"] == 0.0  # bitwise mode
-            else:
-                row["probe_report"] = {
-                    k: v for k, v in eng.probe_report.items()
-                    if k != "modules"}
-                row["worst_module_rel_error"] = max(
-                    eng.probe_report["modules"].values(), default=0.0)
-            if precision == "int8":
-                row["weight_bytes_int8"] = eng.quantized_nbytes
-                row["weight_bytes_float32"] = eng.projection_nbytes
-            sweep[precision] = row
-        result["precision_sweep"] = sweep
         return result
 
     result = run_once(benchmark, run)

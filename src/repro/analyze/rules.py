@@ -277,9 +277,9 @@ class DtypeHygieneRule(Rule):
     ``repro/infer`` or ``repro/nn`` silently doubles memory and breaks
     the bitwise module-vs-compiled parity contract.  Explicit float64
     (``dtype=np.float64``, ``astype(np.float64)``, ``astype(float)``)
-    is equally an error — the sanctioned high-precision accumulators
-    (mixed-precision statistics, the grad-norm fix from PR 4) carry
-    ``# repro: allow[dtype-hygiene]`` suppressions with justifications.
+    is equally an error — the one sanctioned high-precision accumulator,
+    the gradient-norm sum in ``clip_grad_norm``, carries an inline
+    suppression with its justification.
     """
 
     id = "dtype-hygiene"

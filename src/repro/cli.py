@@ -20,16 +20,10 @@ Usage::
 
 ``train --out`` writes a self-contained student artifact bundle
 (weights + config + scaler + provenance); ``evaluate``/``predict``/
-``serve``/``stream`` restore students from bundles without ever
-constructing a trainer or pretraining a CLM.  Those four subcommands
-take ``--engine {module,compiled}`` selecting the inference engine:
-``compiled`` (the default) runs the tape-free :mod:`repro.infer`
-forward, bitwise identical to the autograd module path and several
-times faster per window.  ``--precision {float32,mixed,int8}`` selects
-the compiled engine's numeric mode (reduced modes are gated by a
-compile-time error budget; see ``repro.infer.ErrorBudget``), and
-``serve``/``stream`` take ``--serve-threads`` to drain batches for
-different models concurrently.
+``serve``/``stream``/``gateway`` restore students from bundles without
+ever constructing a trainer or pretraining a CLM, and all of them run
+the tape-free :mod:`repro.infer` forward — bitwise identical to
+``StudentModel.predict`` and several times faster per window.
 
 ``stream`` can persist its online state: ``--snapshot-dir`` keeps
 versioned snapshots plus a per-tick WAL (``--snapshot-every N``
@@ -107,47 +101,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "of encoding the whole train split up front")
 
 
-def _engine_type(value: str) -> str:
-    """argparse type hook: fail fast with the canonical engine message."""
-    from .infer import resolve_engine
-
-    try:
-        return resolve_engine(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _precision_type(value: str) -> str:
-    """argparse type hook: fail fast with the canonical precision message."""
-    from .infer import resolve_precision
-
-    try:
-        return resolve_precision(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    from .infer import ENGINES, PRECISIONS
-
-    parser.add_argument("--engine", default="compiled", type=_engine_type,
-                        metavar="{" + ",".join(ENGINES) + "}",
-                        help="inference engine: the tape-free compiled "
-                             "numpy forward (default) or the autograd "
-                             "module path; both are bitwise identical at "
-                             "float32 precision")
-    parser.add_argument("--precision", default="float32",
-                        type=_precision_type,
-                        metavar="{" + ",".join(PRECISIONS) + "}",
-                        help="compiled-engine numeric mode: float32 "
-                             "(bitwise parity, default), mixed (float64 "
-                             "accumulation for reductions) or int8 "
-                             "(per-channel quantized projections); "
-                             "reduced modes require --engine compiled and "
-                             "are rejected at compile time if the probe "
-                             "error exceeds the error budget")
-
-
 def _positive_int(flag: str):
     """argparse type hook factory: fail fast on non-positive counts."""
     def parse(value: str) -> int:
@@ -209,20 +162,6 @@ def _add_shard(parser: argparse.ArgumentParser) -> None:
                              "--workers > 1)")
 
 
-def _check_engine_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Cross-flag validation that argparse types cannot see."""
-    if getattr(args, "precision", "float32") != "float32":
-        if getattr(args, "engine", "compiled") != "compiled":
-            parser.error(
-                f"--precision {args.precision} requires --engine compiled "
-                f"(the module path is float32-only)")
-        if getattr(args, "verify", False):
-            parser.error(
-                f"--verify asserts bitwise parity with offline predict, "
-                f"which only holds at --precision float32 "
-                f"(got {args.precision})")
-
-
 def _check_stream_flags(parser: argparse.ArgumentParser, args) -> None:
     """Durability flags all hang off --snapshot-dir."""
     if getattr(args, "snapshot_dir", None):
@@ -256,9 +195,7 @@ def _make_service(args):
     """
     from .serve import ForecastService
 
-    kwargs = dict(max_models=args.max_models, max_batch=args.max_batch,
-                  engine=args.engine, precision=args.precision,
-                  serve_threads=args.serve_threads)
+    kwargs = dict(max_models=args.max_models, max_batch=args.max_batch)
     if args.workers is None:
         return ForecastService(args.artifacts, **kwargs)
     from .shard import DEFAULT_VNODES, ShardRouter
@@ -327,8 +264,7 @@ def _cmd_evaluate(args) -> int:
     config = model.config
     data = _data(args, history_length=config.history_length,
                  horizon=config.horizon)
-    metrics = model.evaluate(data.test, engine=args.engine,
-                             precision=args.precision)
+    metrics = model.evaluate(data.test, engine="compiled")
     print(f"test MSE={metrics['mse']:.4f} MAE={metrics['mae']:.4f}")
     return 0
 
@@ -354,8 +290,7 @@ def _cmd_predict(args) -> int:
         from .serve import ForecastService
 
         with ForecastService(os.path.dirname(os.path.abspath(
-                args.artifact)), engine=args.engine,
-                precision=args.precision) as service:
+                args.artifact))) as service:
             batch = windows[None] if windows.ndim == 2 else windows
             dataset = metadata.get("dataset") or None
             futures = [service.submit(window, dataset=dataset,
@@ -368,8 +303,7 @@ def _cmd_predict(args) -> int:
     else:
         model = TimeKDForecaster.from_artifact(args.artifact)
         forecast = model.predict(windows, raw_values=args.raw,
-                                 engine=args.engine,
-                                 precision=args.precision)
+                                 engine="compiled")
     print(f"forecast shape: {np.asarray(forecast).shape} "
           f"(horizon {config.horizon}, "
           f"{config.num_variables} variables)")
@@ -433,7 +367,7 @@ def _make_stats_writer(path: str, collect, drain_actions: list):
     incident it exists to explain.  ``collect()`` is called at write
     time (after the drain), so the dump reflects final counters.
     """
-    from .durable import atomic_write_json
+    from .persist import atomic_write_json
 
     def write(extra: dict | None = None) -> None:
         payload = collect()
@@ -456,20 +390,14 @@ def _cmd_serve(args) -> int:
             _graceful_shutdown(service, drain_actions):
         write_stats = None
         if args.stats_out:
-            def _collect() -> dict:
-                payload = service.snapshot().as_dict()
-                payload["engine"] = service.engine
-                payload["precision"] = service.precision
-                return payload
             write_stats = _make_stats_writer(
-                args.stats_out, _collect, drain_actions)
+                args.stats_out, lambda: service.snapshot().as_dict(),
+                drain_actions)
         keys = service.keys()
-        sharded = (f", {args.workers} shard worker(s)"
+        sharded = (f" [{args.workers} shard worker(s)]"
                    if args.workers is not None else "")
-        print(f"serving {len(keys)} artifact(s) from {args.artifacts} "
-              f"[{service.engine} engine, {service.precision}, "
-              f"{service.serve_threads} drain thread(s){sharded}]: "
-              f"{sorted(keys)}")
+        print(f"serving {len(keys)} artifact(s) from {args.artifacts}"
+              f"{sharded}: {sorted(keys)}")
         key = service.resolve_key(args.dataset, args.horizon)
         if args.input:
             windows = np.load(args.input)
@@ -713,13 +641,12 @@ def _cmd_gateway(args) -> int:
 
         server = GatewayServer(gateway, host=args.host, port=args.port)
         keys = service.keys()
-        sharded = (f", {args.workers} shard worker(s)"
+        sharded = (f" [{args.workers} shard worker(s)]"
                    if args.workers is not None else "")
         print(f"gateway listening on {server.url} — {len(keys)} "
               f"artifact(s) from {args.artifacts}, "
               f"{len(registry.keys())} API key(s), quota {args.quota} "
-              f"unit(s), admission bound {args.max_pending} "
-              f"[{service.engine} engine, {service.precision}{sharded}]",
+              f"unit(s), admission bound {args.max_pending}{sharded}",
               flush=True)
         try:
             # Runs until SIGINT/SIGTERM raises SystemExit out of the
@@ -805,7 +732,6 @@ def main(argv: list[str] | None = None) -> int:
     evaluate.add_argument("--artifact", required=True,
                           help="student artifact bundle from train --out; "
                                "window shapes come from the bundle's config")
-    _add_engine(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
 
     predict = commands.add_parser(
@@ -827,7 +753,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="route the prediction through a "
                               "ForecastService (coalescing serve path)")
     predict.add_argument("--out", default=None, help="save forecasts (.npy)")
-    _add_engine(predict)
     predict.set_defaults(func=_cmd_predict)
 
     serve = commands.add_parser(
@@ -847,15 +772,10 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--raw", action="store_true")
     serve.add_argument("--max-models", type=int, default=4)
     serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument("--serve-threads", type=int, default=1,
-                       help="drain batches for up to this many different "
-                            "models concurrently (per-model FIFO order is "
-                            "preserved)")
     serve.add_argument("--out", default=None, help="save forecasts (.npy)")
     serve.add_argument("--stats-out", default=None, metavar="JSON",
                        help="dump service stats as JSON (written "
                             "atomically, even on abnormal exit)")
-    _add_engine(serve)
     _add_shard(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -890,10 +810,6 @@ def main(argv: list[str] | None = None) -> int:
                              "identical to offline predict")
     stream.add_argument("--max-models", type=int, default=4)
     stream.add_argument("--max-batch", type=int, default=64)
-    stream.add_argument("--serve-threads", type=int, default=1,
-                        help="drain batches for up to this many different "
-                             "models concurrently (per-model FIFO order is "
-                             "preserved)")
     stream.add_argument("--stats-out", default=None, metavar="JSON",
                         help="dump replay + service stats as JSON "
                              "(written atomically)")
@@ -917,7 +833,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="disable the append-only tick WAL; crash "
                              "recovery then loses ticks after the last "
                              "snapshot")
-    _add_engine(stream)
     _add_shard(stream)
     stream.set_defaults(func=_cmd_stream)
 
@@ -975,9 +890,6 @@ def main(argv: list[str] | None = None) -> int:
                               "units (apply each bundle's scaler)")
     gateway.add_argument("--max-models", type=int, default=4)
     gateway.add_argument("--max-batch", type=int, default=64)
-    gateway.add_argument("--serve-threads", type=int, default=1,
-                         help="drain batches for up to this many "
-                              "different models concurrently")
     gateway.add_argument("--snapshot-dir", default=None, metavar="DIR",
                          help="durable state directory: per-tenant "
                               "usage counters are saved here on "
@@ -986,7 +898,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="dump gateway/service/stream stats as "
                               "JSON on exit (written atomically, even "
                               "on abnormal exit)")
-    _add_engine(gateway)
     _add_shard(gateway)
     gateway.set_defaults(func=_cmd_gateway)
 
@@ -1017,7 +928,6 @@ def main(argv: list[str] | None = None) -> int:
     lint.set_defaults(func=_cmd_lint)
 
     args = parser.parse_args(argv)
-    _check_engine_flags(parser, args)
     _check_stream_flags(parser, args)
     _check_shard_flags(parser, args)
     return args.func(args)

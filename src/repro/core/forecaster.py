@@ -32,19 +32,6 @@ from .trainer import TimeKDTrainer
 __all__ = ["TimeKDForecaster"]
 
 
-def _resolve_engine_precision(engine: str, precision: str) -> tuple[str, str]:
-    """Validate the engine/precision pair, failing fast on conflicts."""
-    from ..infer import resolve_engine, resolve_precision
-
-    engine = resolve_engine(engine)
-    precision = resolve_precision(precision)
-    if precision != "float32" and engine != "compiled":
-        raise ValueError(
-            f"precision={precision!r} requires engine='compiled' "
-            f"(the module path is float32-only)")
-    return engine, precision
-
-
 class TimeKDForecaster:
     """High-level TimeKD forecaster.
 
@@ -62,7 +49,7 @@ class TimeKDForecaster:
         self._clm_released = False
         self.trainer: TimeKDTrainer | None = None
         self._student: StudentModel | None = None
-        self._compiled: dict = {}
+        self._compiled = None
         self._scaler: StandardScaler | None = None
         #: Provenance of the bundle this forecaster was restored from
         #: (empty for fitted forecasters until :meth:`save`).
@@ -82,7 +69,7 @@ class TimeKDForecaster:
         self.config = self.trainer.config  # may absorb data shape updates
         self.trainer.fit()
         self._student = self.trainer.student
-        self._compiled.clear()  # stale: compiled against the old weights
+        self._compiled = None  # stale: compiled against the old weights
         self._scaler = data.scaler
         return self
 
@@ -109,30 +96,25 @@ class TimeKDForecaster:
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def compile(self, force: bool = False, precision: str = "float32"):
+    def compile(self, force: bool = False):
         """Tape-free :class:`repro.infer.CompiledStudent` of the student.
 
-        Compiled once per precision mode and cached (``fit()``
-        invalidates the cache).  The engine snapshots derived constants
-        at compile time, so after mutating student weights — in place or
-        via ``load_state_dict`` — recompile with ``force=True`` or the
-        cached engine serves stale forecasts.  Reduced-precision modes
-        (``"mixed"``, ``"int8"``) are gated by the engine's compile-time
-        error budget — see :class:`repro.infer.ErrorBudget`.
+        Compiled once and cached (``fit()`` invalidates the cache).  The
+        engine snapshots derived constants at compile time, so after
+        mutating student weights — in place or via ``load_state_dict``
+        — recompile with ``force=True`` or the cached engine serves
+        stale forecasts.
         """
-        from ..infer import CompiledStudent, resolve_precision
+        from ..infer import CompiledStudent
 
         self._check_fitted()
-        precision = resolve_precision(precision)
-        if precision not in self._compiled or force:
+        if self._compiled is None or force:
             self._student.eval()
-            self._compiled[precision] = CompiledStudent(
-                self._student, precision=precision)
-        return self._compiled[precision]
+            self._compiled = CompiledStudent(self._student)
+        return self._compiled
 
     def predict(self, history: np.ndarray, raw_values: bool = False,
-                engine: str = "module",
-                precision: str = "float32") -> np.ndarray:
+                engine: str = "module") -> np.ndarray:
         """Forecast ``(B, M, N)`` (or ``(M, N)``) from history windows.
 
         With ``raw_values=True`` the input is interpreted in original
@@ -142,12 +124,12 @@ class TimeKDForecaster:
 
         ``engine="compiled"`` routes through the cached
         :meth:`compile` engine — bitwise identical to the module
-        forward, several times faster per window.  ``precision``
-        selects the compiled engine's numeric mode and requires the
-        compiled engine for the reduced modes.
+        forward, several times faster per window.
         """
+        from ..infer import resolve_engine
+
         self._check_fitted()
-        engine, precision = _resolve_engine_precision(engine, precision)
+        engine = resolve_engine(engine)
         history = np.asarray(history, dtype=np.float32)
         squeeze = history.ndim == 2
         if raw_values:
@@ -157,7 +139,7 @@ class TimeKDForecaster:
                     "forecaster has none (bundle saved without one)")
             history = self._scaler.transform(history).astype(np.float32)
         if engine == "compiled":
-            prediction = self.compile(precision=precision).predict(history)
+            prediction = self.compile().predict(history)
         else:
             prediction = self._student.predict(history)
         if raw_values:
@@ -165,18 +147,16 @@ class TimeKDForecaster:
         return prediction[0] if squeeze else prediction
 
     def evaluate(self, dataset: WindowDataset, batch_size: int = 32,
-                 engine: str = "module", precision: str = "float32") -> dict:
+                 engine: str = "module") -> dict:
         """Student MSE/MAE over a window dataset (test protocol).
 
         Works for fitted and artifact-restored forecasters alike — only
         the student runs.  ``engine="compiled"`` evaluates through the
-        cached compiled engine (identical metrics, faster);
-        ``precision`` selects its numeric mode.
+        cached compiled engine (identical metrics, faster).
         """
         self._check_fitted()
-        engine, precision = _resolve_engine_precision(engine, precision)
         if engine == "compiled":
-            engine = self.compile(precision=precision)
+            engine = self.compile()
         return evaluate_student(self._student, dataset,
                                 batch_size=batch_size, engine=engine)
 

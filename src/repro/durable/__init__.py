@@ -18,8 +18,6 @@ without bending the repo's bitwise replay-parity guarantee:
   clears everything on a partial import (fail closed, never partial).
 * :mod:`~repro.durable.faults` — deterministic fault injection (crash
   points + seeded file corrupters) used to prove the above.
-* :mod:`~repro.durable.atomic` — tmp + ``os.replace`` helpers for
-  sidecar JSON/bytes files.
 * :mod:`~repro.durable.shard` — per-shard snapshot/WAL chains
   (``snapshot-{shard}-{seq}.npz``) for the sharded runtime
   (:mod:`repro.shard`), plus :class:`ShardedRecoverer` which restores
@@ -28,11 +26,10 @@ without bending the repo's bitwise replay-parity guarantee:
 
 Recovered forecasts are bitwise identical to an uninterrupted run: a
 replay killed at an arbitrary tick, recovered and finished produces
-exactly the bytes the unkilled replay would have, under both the
-``module`` and ``compiled`` engines.
+exactly the bytes the unkilled replay would have.  Sidecar files
+(``--stats-out``, usage) use the atomic writers in :mod:`repro.persist`.
 """
 
-from .atomic import atomic_write_bytes, atomic_write_json
 from .faults import (
     InjectedCrash,
     arm,
@@ -78,8 +75,6 @@ from .wal import (
 )
 
 __all__ = [
-    "atomic_write_bytes",
-    "atomic_write_json",
     "InjectedCrash",
     "arm",
     "crashpoint",

@@ -66,13 +66,12 @@ def _snapshot_digest(payload: dict) -> str:
 # writing
 # ----------------------------------------------------------------------
 def write_snapshot(path: str, state: dict, *, artifact_digest=None,
-                   engine=None, precision=None,
                    shard: int | None = None) -> str:
     """Serialize an exported forecaster state to ``path`` atomically.
 
     ``state`` is :meth:`StreamingForecaster.export_state` output;
-    ``artifact_digest``/``engine``/``precision`` stamp the serving
-    context so recovery can refuse incompatible imports, and ``shard``
+    ``artifact_digest`` stamps the served weights so recovery refuses
+    to import into a process serving different ones, and ``shard``
     records which shard of a sharded runtime produced the state (None
     for a single-process run).  Returns the written path (``.npz``
     appended when missing).
@@ -129,8 +128,6 @@ def write_snapshot(path: str, state: dict, *, artifact_digest=None,
     meta = {
         "seq": int(state["seq"]),
         "artifact_digest": artifact_digest,
-        "engine": engine,
-        "precision": precision,
         "shard": shard,
         "stream_stats": state["stream_stats"],
         "service_stats": state["service_stats"],
@@ -383,8 +380,6 @@ class StreamSnapshotter:
             path = self._label("snapshot", seq, ".npz")
             path = write_snapshot(
                 path, state, artifact_digest=self._artifact_digest,
-                engine=self.forecaster.service.engine,
-                precision=self.forecaster.service.precision,
                 shard=self.shard)
             if self._wal is not None:
                 self._wal.close()

@@ -45,6 +45,11 @@ from .meter import INGEST_UNITS, PREDICT_UNITS, Meter, QuotaError, TokenBucket
 
 __all__ = ["Gateway", "GatewayStats", "Response"]
 
+#: Body text of every 500.  Exception text can carry file paths and
+#: other internals, so it never reaches the client; the ``errors``
+#: counter records the failure.
+INTERNAL_ERROR = "internal server error"
+
 
 @dataclass
 class GatewayStats:
@@ -258,10 +263,10 @@ class Gateway:
             reservation.release()
             self._shed("invalid")
             return Response(400, {"error": str(error)})
-        except Exception as error:  # noqa: BLE001 — surface as 500
+        except Exception:  # noqa: BLE001 — surface as 500
             reservation.release()
             self._shed("errors")
-            return Response(500, {"error": str(error)})
+            return Response(500, {"error": INTERNAL_ERROR})
         try:
             forecast = future.result(timeout=self.request_timeout)
         except FutureTimeoutError:
@@ -273,10 +278,10 @@ class Gateway:
             return Response(504, {"error": (
                 f"forecast did not complete within "
                 f"{self.request_timeout}s")})
-        except Exception as error:  # noqa: BLE001
+        except Exception:  # noqa: BLE001
             reservation.release()
             self._shed("errors")
-            return Response(500, {"error": str(error)})
+            return Response(500, {"error": INTERNAL_ERROR})
         reservation.commit()
         with self._lock:
             self.stats.predicts += 1
@@ -337,10 +342,10 @@ class Gateway:
             reservation.release()
             self._shed("invalid")
             return Response(400, {"error": str(error)})
-        except Exception as error:  # noqa: BLE001
+        except Exception:  # noqa: BLE001
             reservation.release()
             self._shed("errors")
-            return Response(500, {"error": str(error)})
+            return Response(500, {"error": INTERNAL_ERROR})
         # Commit exactly what was accepted (the whole run — append is
         # all-or-nothing) via the split idiom, release any remainder.
         accepted, remainder = reservation.split(self.ingest_units * rows)
@@ -362,8 +367,8 @@ class Gateway:
             try:
                 body["forecast"] = np.asarray(
                     future.result(timeout=self.request_timeout)).tolist()
-            except Exception as error:  # noqa: BLE001 — ticks landed
-                body["forecast_error"] = str(error)
+            except Exception:  # noqa: BLE001 — ticks landed
+                body["forecast_error"] = INTERNAL_ERROR
         return Response(200, body)
 
     def usage(self, tenant_key: TenantKey, tenant: str) -> Response:
@@ -479,8 +484,6 @@ class Gateway:
             gateway = replace(self.stats).as_dict()
             forecasters = dict(self._forecasters)
         service = self.service.snapshot().as_dict()
-        service["engine"] = self.service.engine
-        service["precision"] = self.service.precision
         streams = {f"{key[0]}:{key[1]}": fc.snapshot()["stream"]
                    for key, fc in forecasters.items()}
         return {"gateway": gateway, "service": service,

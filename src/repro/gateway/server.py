@@ -34,7 +34,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .app import Gateway, Response
+from .app import INTERNAL_ERROR, Gateway, Response
 
 __all__ = ["GatewayServer", "MAX_BODY_BYTES"]
 
@@ -118,8 +118,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, handler) -> None:
         try:
             response = handler()
-        except Exception as error:  # noqa: BLE001 — keep serving
-            response = Response(500, {"error": str(error)})
+        except Exception:  # noqa: BLE001 — keep serving
+            response = Response(500, {"error": INTERNAL_ERROR})
         if response is not None:
             self._write(response)
 

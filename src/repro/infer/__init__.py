@@ -1,4 +1,4 @@
-"""``repro.infer`` — tape-free compiled inference engines.
+"""``repro.infer`` — tape-free compiled inference engine.
 
 The paper's efficiency claim (Section IV-E) is that *only the
 lightweight student* runs at inference.  This package takes that to its
@@ -7,24 +7,16 @@ flat, pure-numpy forward — no autograd tensors, no graph bookkeeping,
 one shape-polymorphic scratch plan serving every batch size up to a
 high-water capacity, and distillation-only outputs (the last-layer
 attention average) skipped unless requested — while staying **bitwise
-identical** to the module forward in its default ``float32`` mode.
+identical** to the module forward.
 
-Every inference consumer accepts an ``engine`` selector from
-:data:`ENGINES` (``"module"`` | ``"compiled"``):
-``TimeKDForecaster.predict``/``evaluate``, ``evaluate_student``,
-``ForecastService`` (and therefore ``StreamingForecaster``), and the
-``predict``/``serve``/``stream``/``evaluate`` CLI subcommands via
-``--engine``.  The compiled engine additionally accepts a ``precision``
-mode from :data:`PRECISIONS` (``"float32"`` | ``"mixed"`` | ``"int8"``),
-with the reduced-precision modes gated behind a compile-time
-:class:`ErrorBudget` — exceeding the declared tolerance raises
-:class:`PrecisionError` instead of serving degraded forecasts.
+It is the only serving engine: ``ForecastService`` (and therefore the
+streaming, sharded and HTTP layers) builds one per resident model.
+``StudentModel.predict`` stays as the parity oracle, and
+``TimeKDForecaster.predict``/``evaluate`` and ``evaluate_student`` take
+an ``engine`` selector from :data:`ENGINES` (``"module"`` |
+``"compiled"``) so tests and the CLI can run either forward.
 """
 
-from .engine import (ENGINES, PRECISIONS, CompiledStudent, ErrorBudget,
-                     PrecisionError, compile_student, resolve_engine,
-                     resolve_precision)
+from .engine import ENGINES, CompiledStudent, resolve_engine
 
-__all__ = ["ENGINES", "PRECISIONS", "CompiledStudent", "ErrorBudget",
-           "PrecisionError", "compile_student", "resolve_engine",
-           "resolve_precision"]
+__all__ = ["ENGINES", "CompiledStudent", "resolve_engine"]

@@ -19,33 +19,22 @@ triggers a tape rebuild or a probe: it costs one cheap view binding
 Only a batch size *above* capacity recompiles, and a serving layer that
 passes its ``max_batch`` up front never does even that.
 
-The engine's default contract is **bitwise parity** with the module
-forward: every numpy operation below mirrors the exact op sequence,
-operand dtypes and memory layouts of the ``Module`` path (``RevIN`` →
-inverted embedding → Pre-LN encoder → head → de-normalization), so
+The engine's contract is **bitwise parity** with the module forward:
+every numpy operation below mirrors the exact op sequence, operand
+dtypes and memory layouts of the ``Module`` path (``RevIN`` → inverted
+embedding → Pre-LN encoder → head → de-normalization), so
 ``CompiledStudent.predict`` and ``StudentModel.predict`` return
 identical bytes for identical inputs.  That is what lets the serve and
-stream layers swap engines freely: the replay/parity harnesses keep
-holding.  Fused tape variants (fused QKV, collapsed 2-D GEMMs) are
-adopted only when a compile-time probe proves them bitwise-equal at the
-polymorphic shape (both at full capacity and at batch 1).
-
-Opt-in reduced precision relaxes that contract *explicitly*, never
-silently: ``precision="mixed"`` accumulates the reductions (RevIN and
-LayerNorm statistics, softmax sums) in float64, and ``precision="int8"``
-serves the GEMM-dominant projections from per-channel int8-quantized
-weights.  Both are gated behind an :class:`ErrorBudget` asserted at
-compile time — each quantized projection and the final prediction are
-checked against the exact float32 tape on a probe input, and compilation
-fails with :class:`PrecisionError` when the declared tolerance is
-exceeded.
+stream layers run it while the replay/parity harnesses keep
+``StudentModel.predict`` as their oracle.  The fused-QKV tape variant
+is adopted only when a compile-time probe proves it bitwise-equal at
+the polymorphic shape (both at full capacity and at batch 1).
 
 Weights are *donated* (see :mod:`repro.nn.buffers`): the engine shares
 the module's backing arrays by default, so compiling is cheap.  Derived
 constants (the RevIN denominator, the probe-verified fused QKV
-projection, int8 codebooks) are snapshotted at compile time — rebuild
-the engine after mutating weights in place
-(``TimeKDForecaster.compile(force=True)``).
+projection) are snapshotted at compile time — rebuild the engine after
+mutating weights in place (``TimeKDForecaster.compile(force=True)``).
 """
 
 from __future__ import annotations
@@ -53,23 +42,18 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ..nn.buffers import ScratchPool, donate, quantize_per_channel
+from ..nn.buffers import ScratchPool, donate
 
-__all__ = ["ENGINES", "PRECISIONS", "CompiledStudent", "ErrorBudget",
-           "PrecisionError", "compile_student", "resolve_engine",
-           "resolve_precision"]
+__all__ = ["ENGINES", "CompiledStudent", "resolve_engine"]
 
-#: Inference engines understood by the serving stack and the CLI.
+#: Forward implementations ``TimeKDForecaster.predict``/``evaluate`` and
+#: ``evaluate_student`` accept: the autograd module path (the parity
+#: oracle, and what training validates on) or this compiled engine.
 ENGINES = ("module", "compiled")
-
-#: Numeric modes of the compiled engine.  ``float32`` is bitwise equal
-#: to the module path; ``mixed`` and ``int8`` are tolerance-gated.
-PRECISIONS = ("float32", "mixed", "int8")
 
 #: Smallest batch capacity a lazy first call allocates (keeps tiny
 #: direct-use engines from recompiling on every slightly-larger batch).
@@ -91,50 +75,6 @@ def resolve_engine(engine: str) -> str:
         raise ValueError(
             f"unknown inference engine {engine!r}; choose from {ENGINES}")
     return engine
-
-
-def resolve_precision(precision: str) -> str:
-    """Validate a compiled-engine precision mode; returns it unchanged."""
-    if precision not in PRECISIONS:
-        raise ValueError(
-            f"unknown engine precision {precision!r}; "
-            f"choose from {PRECISIONS}")
-    return precision
-
-
-class PrecisionError(ValueError):
-    """A reduced-precision compile exceeded its declared error budget."""
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Per-module error contract for reduced-precision compilation.
-
-    ``module_rel`` bounds the relative L-inf error of every quantized
-    projection output against the float32 GEMM *on the same inputs*
-    (``overrides`` tightens or loosens individual modules by name, e.g.
-    ``{"head": 0.001}``).  ``max_abs``/``max_rel`` bound the final
-    prediction against the exact float32 tape in scale-aware L-inf:
-    ``max|y - y_ref| <= max_abs + max_rel * max|y_ref|`` (the relative
-    term tracks the forecast's own magnitude, the absolute term is the
-    floor for near-zero outputs).  All checks run on a compile-time
-    probe; a violation raises :class:`PrecisionError` instead of
-    silently serving degraded forecasts.
-    """
-
-    max_abs: float = 1e-3
-    max_rel: float = 0.02
-    module_rel: float = 0.02
-    overrides: dict = field(default_factory=dict)
-
-    def budget_for(self, module: str) -> float:
-        return self.overrides.get(module, self.module_rel)
-
-
-def compile_student(student, copy_weights: bool = False,
-                    **kwargs) -> "CompiledStudent":
-    """Convenience wrapper around :class:`CompiledStudent`."""
-    return CompiledStudent(student, copy_weights=copy_weights, **kwargs)
 
 
 def _const(value) -> np.ndarray:
@@ -184,20 +124,6 @@ class _LayerWeights:
         self.activation = layer.ffn.activation
 
 
-def _audit_gemm(errors: dict, name: str, src: np.ndarray,
-                reference_weight: np.ndarray, out: np.ndarray) -> None:
-    """Record one quantized projection's relative L-inf probe error.
-
-    Interleaved into the audit tape right after the quantized GEMM, so
-    ``src`` holds the *actual* activations flowing into the module at
-    that point and ``out`` the int8-served result.  Probe-time only —
-    the serving tape never carries these ops.
-    """
-    reference = src @ reference_weight
-    scale = float(np.abs(reference).max()) or 1.0
-    errors[name] = float(np.abs(out - reference).max()) / scale
-
-
 class CompiledStudent:
     """Flat numpy forward of a fitted student, shape-polymorphic.
 
@@ -211,16 +137,8 @@ class CompiledStudent:
         Snapshot the weights instead of sharing the module's buffers.
         Leave off for serving, where weights are fixed after load (zero
         copies).  Either way, derived constants (fused QKV, the RevIN
-        denominator, int8 codebooks) are compile-time snapshots:
-        recompile after any weight update.
-    precision:
-        ``"float32"`` (bitwise-equal to the module path, the default),
-        ``"mixed"`` (float64 accumulation for the statistical
-        reductions), or ``"int8"`` (per-channel weight-quantized
-        projections).  Non-float32 modes are gated by ``error_budget``
-        at compile time.
-    error_budget:
-        :class:`ErrorBudget` enforced when ``precision != "float32"``.
+        denominator) are compile-time snapshots: recompile after any
+        weight update.
     max_batch:
         Eagerly compile for this batch capacity (the serving layer
         passes its coalescing bound here, moving the one compile stall
@@ -235,8 +153,6 @@ class CompiledStudent:
     """
 
     def __init__(self, student, copy_weights: bool = False,
-                 precision: str = "float32",
-                 error_budget: ErrorBudget | None = None,
                  max_batch: int | None = None,
                  plan_cache_size: int = _DEFAULT_PLAN_CACHE):
         config = student.config
@@ -248,8 +164,6 @@ class CompiledStudent:
         self.head_dim = config.d_model // config.num_heads
         self.d_model = config.d_model
         self.ffn_dim = student.encoder.layers[0].ffn.fc1.out_features
-        self.precision = resolve_precision(precision)
-        self.error_budget = error_budget or ErrorBudget()
         if plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
         self.plan_cache_size = int(plan_cache_size)
@@ -285,17 +199,10 @@ class CompiledStudent:
         self._n_model = _const(self.d_model)
         self._window_shape = (self.history_length, self.num_variables)
 
-        #: int8 codebooks (module name -> (codes, per-channel scales))
-        #: and the float32 reconstructions the GEMM tape serves from.
-        self._qweights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._deq: dict[str, np.ndarray] = {}
-        if self.precision == "int8":
-            self._quantize_projections()
-
         self._pool = ScratchPool()
         self._bindings: OrderedDict[int, _Binding] = OrderedDict()  # guarded-by: _lock
         self._capacity = 0
-        self._variant = (False, False)  # guarded-by: _lock
+        self._fused = False  # guarded-by: _lock
         self._lock = threading.Lock()
         #: Forward-call / window counters (monitoring + benchmarks).
         self.calls = 0  # guarded-by: _lock
@@ -307,9 +214,6 @@ class CompiledStudent:
         self.plan_hits = 0  # guarded-by: _lock
         self.plan_misses = 0  # guarded-by: _lock
         self.plan_evictions = 0  # guarded-by: _lock
-        #: Probe-time error report of the last reduced-precision
-        #: compile (empty in float32 mode).
-        self.probe_report: dict = {}
         if max_batch is not None:
             if max_batch < 1:
                 raise ValueError("max_batch must be >= 1")
@@ -368,20 +272,6 @@ class CompiledStudent:
         """Bytes held by the shared capacity scratch buffers."""
         return self._pool.nbytes
 
-    @property
-    def quantized_nbytes(self) -> int:
-        """Bytes of the int8 codebooks (0 outside ``int8`` mode)."""
-        return sum(q.nbytes + s.nbytes for q, s in self._qweights.values())
-
-    @property
-    def projection_nbytes(self) -> int:
-        """Float32 bytes of the projection weights int8 mode replaces."""
-        weights = [self._w_emb, self._w_head]
-        for layer in self._layers:
-            weights += [layer.wq, layer.wk, layer.wv, layer.wo,
-                        layer.w1, layer.w2]
-        return sum(w.nbytes for w in weights)
-
     def plan_stats(self) -> dict:
         """Plan-cache and compile counters (thread-safe snapshot)."""
         with self._lock:
@@ -415,7 +305,7 @@ class CompiledStudent:
             self.plan_misses += 1
             views = _Views(self, B)
             binding = _Binding(
-                views, self._build_tape(views, False, *self._variant))
+                views, self._build_tape(views, False, self._fused))
             self._bindings[B] = binding
             while len(self._bindings) > self.plan_cache_size:
                 self._bindings.popitem(last=False)
@@ -425,12 +315,12 @@ class CompiledStudent:
             self._bindings.move_to_end(B)
         if need_attention and binding.tape_attention is None:
             binding.tape_attention = self._build_tape(
-                binding.views, True, *self._variant)
+                binding.views, True, self._fused)
         return binding
 
     # requires-lock: _lock (or construction, pre-publication)
     def _recompile(self, capacity: int) -> None:
-        """(Re)build the polymorphic plan: scratch, variant, budget.
+        """(Re)build the polymorphic plan: scratch and tape variant.
 
         The one expensive step — capacity allocation plus the
         probe-verify pass — after which every batch size up to
@@ -443,161 +333,51 @@ class CompiledStudent:
         probe = np.random.default_rng(0).standard_normal(
             (self._capacity, self.history_length,
              self.num_variables)).astype(np.float32)
-        self._variant = self._select_variant(probe)
-        if self.precision != "float32":
-            self._enforce_budget(probe)
+        self._fused = self._fused_is_exact(probe)
 
-    def _select_variant(self, probe: np.ndarray) -> tuple[bool, bool]:
-        """Adopt the fastest tape variant a probe proves bitwise-equal.
+    def _fused_is_exact(self, probe: np.ndarray) -> bool:
+        """Whether the fused-QKV tape is bitwise-equal on the probe.
 
-        Two verified transforms: *fused QKV* (one GEMM against the
-        concatenated ``(D, 3D)`` projection instead of three) and
-        *collapsed GEMM* (``(B*N, D)`` 2-D views instead of batched 3-D
-        matmul, hitting the direct cblas path).  Both only reorganize
+        The fused variant runs one GEMM against the concatenated
+        ``(D, 3D)`` projection instead of three.  It only reorganizes
         the same per-element dot products, but BLAS/ufunc kernel
         selection depends on shapes and strides — and those selections
-        are value-independent, so running each candidate once on a
-        random probe input and comparing bytes against the reference
-        tape is a sound equivalence check.  The polymorphic plan serves
-        every batch size from sliced views of one capacity buffer, so
-        the probe brackets the range: a variant is adopted only when it
-        matches bitwise both at full capacity and at batch 1.  On the
-        slightest mismatch the reference stays.
+        are value-independent, so running it once on a random probe
+        input and comparing bytes against the reference tape is a sound
+        equivalence check.  The polymorphic plan serves every batch
+        size from sliced views of one capacity buffer, so the probe
+        brackets the range: the variant is adopted only when it matches
+        bitwise both at full capacity and at batch 1.  On the slightest
+        mismatch the reference stays.
         """
         sizes = (self._capacity,) if self._capacity == 1 \
             else (self._capacity, 1)
-        references = {}
         for B in sizes:
-            views = _Views(self, B)
-            tape = self._build_tape(views, True)
-            np.copyto(views.x, probe[:B])
-            for op in tape:
-                op()
-            references[B] = (views.prediction.tobytes(),
-                             views.attention.tobytes())
-        for fused, collapsed in ((True, True), (True, False), (False, True)):
-            for B in sizes:
+            outputs = []
+            for fused in (False, True):
                 views = _Views(self, B)
-                candidate = self._build_tape(views, True, fused, collapsed)
                 np.copyto(views.x, probe[:B])
-                for op in candidate:
+                for op in self._build_tape(views, True, fused):
                     op()
-                if (views.prediction.tobytes(),
-                        views.attention.tobytes()) != references[B]:
-                    break
-            else:
-                return (fused, collapsed)
-        return (False, False)
-
-    def _enforce_budget(self, probe: np.ndarray) -> None:  # requires-lock: _lock
-        """Assert the reduced-precision tape honors its error budget.
-
-        Runs the exact float32 module-mirror tape and the adopted
-        precision tape (with per-module audit ops interleaved) on the
-        probe; rejects the compile with :class:`PrecisionError` when any
-        quantized projection or the final prediction drifts past the
-        declared tolerance.
-        """
-        views = _Views(self, self._capacity)
-        exact = self._build_tape(views, False, precision="float32")
-        np.copyto(views.x, probe)
-        for op in exact:
-            op()
-        # Probe-time float64 reference, never on the serve path.
-        # repro: allow[dtype-hygiene] — sanctioned wide dtype
-        reference = views.prediction.astype(np.float64)
-
-        module_errors: dict[str, float] = {}
-        audited = self._build_tape(views, False, *self._variant,
-                                   audit=module_errors)
-        np.copyto(views.x, probe)
-        for op in audited:
-            op()
-        budget = self.error_budget
-        over = {name: error for name, error in module_errors.items()
-                if error > budget.budget_for(name)}
-        if over:
-            worst = max(over, key=over.get)
-            raise PrecisionError(
-                f"{self.precision} compile rejected: quantized module(s) "
-                f"exceed their relative error budget — worst {worst!r} at "
-                f"{over[worst]:.3e} (budget "
-                f"{budget.budget_for(worst):.3e}); offending modules: "
-                f"{sorted(over)}")
-        error = float(
-            # repro: allow[dtype-hygiene] — probe-time comparison
-            np.abs(views.prediction.astype(np.float64) - reference).max())
-        scale = float(np.abs(reference).max())
-        allowed = budget.max_abs + budget.max_rel * scale
-        if error > allowed:
-            raise PrecisionError(
-                f"{self.precision} compile rejected: probe prediction "
-                f"error {error:.3e} exceeds the budget {allowed:.3e} "
-                f"(max_abs={budget.max_abs:.3e} + "
-                f"max_rel={budget.max_rel:.3e} * scale {scale:.3e})")
-        self.probe_report = {
-            "precision": self.precision,
-            "prediction_max_abs_error": error,
-            "prediction_rel_error": error / scale if scale else 0.0,
-            "modules": dict(module_errors),
-        }
-
-    def _quantize_projections(self) -> None:
-        """Per-channel int8 codebooks for the GEMM-dominant projections.
-
-        RevIN/LayerNorm affine parameters and all biases stay float32 —
-        they are O(D) and numerically load-bearing; the O(D^2)
-        projection matrices are where the weight bytes live.
-        """
-        table = {"embedding": self._w_emb, "head": self._w_head}
-        for index, layer in enumerate(self._layers):
-            table[f"layer{index}.query"] = layer.wq
-            table[f"layer{index}.key"] = layer.wk
-            table[f"layer{index}.value"] = layer.wv
-            table[f"layer{index}.out"] = layer.wo
-            table[f"layer{index}.ffn1"] = layer.w1
-            table[f"layer{index}.ffn2"] = layer.w2
-        for name, weight in table.items():
-            codes, scales, dequantized = quantize_per_channel(weight)
-            self._qweights[name] = (codes, scales)
-            self._deq[name] = dequantized
-        # The fused-QKV weight is rebuilt from the per-projection
-        # reconstructions, so fused and unfused tapes stay bitwise
-        # interchangeable under the probe.
-        for index in range(len(self._layers)):
-            self._deq[f"layer{index}.qkv"] = np.concatenate(
-                [self._deq[f"layer{index}.{part}"]
-                 for part in ("query", "key", "value")], axis=1)
+                outputs.append((views.prediction.tobytes(),
+                                views.attention.tobytes()))
+            if outputs[0] != outputs[1]:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # the flat forward
     # ------------------------------------------------------------------
     def _build_tape(self, p: "_Views", need_attention: bool,
-                    fused_qkv: bool = False,
-                    collapse_gemm: bool = False,
-                    precision: str | None = None,
-                    audit: dict | None = None) -> list:
+                    fused_qkv: bool = False) -> list:
         """Record the whole forward as a flat list of pre-bound ops.
 
         Every argument — weights, scratch views, scalar constants — is
         fixed once the batch binding is known, so the hot path
         degenerates to replaying ``functools.partial`` objects: zero
         Python arithmetic, zero allocation, just ~100 ufunc/GEMM calls
-        into preallocated memory.  ``precision`` overrides the engine
-        mode (the budget check builds an exact float32 reference tape
-        this way); ``audit`` interleaves probe-only per-module error
-        checks after each quantized GEMM.
+        into preallocated memory.
         """
-        precision = self.precision if precision is None else precision
-        mixed = precision == "mixed"
-        quantized = self._deq if precision == "int8" else {}
-        # Statistical reductions accumulate in float64 under ``mixed``;
-        # everything else (GEMMs included) stays float32.
-        acc_dtype = np.float64 if mixed else None
-        mean_buf = p.mean64 if mixed else p.mean
-        std_buf = p.std64 if mixed else p.std
-        red = p.red64 if mixed else p.red
-        softmax_sum = p.ssum64 if mixed else p.score_red
         ops: list = []
 
         # ``out`` rides positionally everywhere a ufunc accepts it (and
@@ -608,35 +388,24 @@ class CompiledStudent:
         def emit(fn, *args):
             ops.append(partial(fn, *args))
 
-        def emit_reduce(ufunc, src, axis, out, dtype=None):
+        def emit_reduce(ufunc, src, axis, out):
             # ufunc.reduce(array, axis, dtype, out, keepdims)
-            emit(ufunc.reduce, src, axis, dtype, out, True)
+            emit(ufunc.reduce, src, axis, None, out, True)
 
-        def emit_gemm(src, weight, out, name=None):
-            # (B, N, D) @ (D, K) batched matmul, or its (B*N, D) 2-D
-            # collapse (same dot products, direct cblas path).  Only
-            # buffers with a registered contiguous 2-D alias collapse;
-            # transpose views (the embedding input) stay 3-D.  Under
-            # int8 the named projections serve from their per-channel
-            # dequantized snapshot instead of the float32 original.
-            served = quantized.get(name, weight)
-            src2, out2 = p.flat2d.get(id(src)), p.flat2d.get(id(out))
-            if collapse_gemm and src2 is not None and out2 is not None:
-                emit(np.matmul, src2, served, out2)
-            else:
-                emit(np.matmul, src, served, out)
-            if audit is not None and name in quantized:
-                # Probe-only: compare against the float32 GEMM on the
-                # same live activations (reads buffers at replay time).
-                ops.append(partial(_audit_gemm, audit, name, src,
-                                   weight, out))
+        def emit_gemm(src, weight, out):
+            # (B, N, D) @ (D, K) batched matmul: numpy issues one small
+            # (N, D) GEMM per window.  One (B*N, D) GEMM over the whole
+            # batch crosses OpenBLAS's threading threshold at serve batch
+            # sizes, and on a 2-vCPU host a threaded GEMM intermittently
+            # stalls ~8 ms where the single-threaded call takes ~0.04 ms.
+            emit(np.matmul, src, weight, out)
 
         def emit_mean(src, axis, out, count):
             # np.add.reduce + divide-by-count is exactly what np.mean
             # runs internally — same bits, none of the Python wrapper
             # overhead.  np.var == this mean, a centered square, and
             # the same reduce/divide again.
-            emit_reduce(np.add, src, axis, out, acc_dtype)
+            emit_reduce(np.add, src, axis, out)
             emit(np.true_divide, out, count, out)
 
         def emit_layer_norm(src, gamma, beta, eps):
@@ -645,31 +414,31 @@ class CompiledStudent:
             # (np.reciprocal is correctly-rounded division, bitwise
             # equal to the module's ``1.0 / sqrt`` — both binary32
             # quotients of the same operands.)
-            emit_mean(src, -1, red, self._n_model)
-            emit(np.subtract, src, red, p.normed)
+            emit_mean(src, -1, p.red, self._n_model)
+            emit(np.subtract, src, p.red, p.normed)
             emit(np.multiply, p.normed, p.normed, p.sq_nd)
-            emit_mean(p.sq_nd, -1, red, self._n_model)
-            emit(np.add, red, eps, red)
-            emit(np.sqrt, red, red)
-            emit(np.reciprocal, red, red)
-            emit(np.multiply, p.normed, red, p.normed)
+            emit_mean(p.sq_nd, -1, p.red, self._n_model)
+            emit(np.add, p.red, eps, p.red)
+            emit(np.sqrt, p.red, p.red)
+            emit(np.reciprocal, p.red, p.red)
+            emit(np.multiply, p.normed, p.red, p.normed)
             emit(np.multiply, p.normed, gamma, p.normed)
             emit(np.add, p.normed, beta, p.normed)
 
         # RevIN normalize (statistics over time, per instance/variable).
-        emit_mean(p.x, 1, mean_buf, self._n_time)
-        emit(np.subtract, p.x, mean_buf, p.norm)
+        emit_mean(p.x, 1, p.mean, self._n_time)
+        emit(np.subtract, p.x, p.mean, p.norm)
         emit(np.multiply, p.norm, p.norm, p.sq_hn)
-        emit_mean(p.sq_hn, 1, std_buf, self._n_time)
-        emit(np.add, std_buf, self._revin_eps, std_buf)
-        emit(np.sqrt, std_buf, std_buf)
-        emit(np.divide, p.norm, std_buf, p.norm)
+        emit_mean(p.sq_hn, 1, p.std, self._n_time)
+        emit(np.add, p.std, self._revin_eps, p.std)
+        emit(np.sqrt, p.std, p.std)
+        emit(np.divide, p.norm, p.std, p.norm)
         if self._revin_affine:
             emit(np.multiply, p.norm, self._revin_g, p.norm)
             emit(np.add, p.norm, self._revin_b, p.norm)
 
         # Inverted embedding: each variable's whole history is one token.
-        emit_gemm(p.norm_t, self._w_emb, p.tokens, "embedding")
+        emit_gemm(p.norm_t, self._w_emb, p.tokens)
         emit(np.add, p.tokens, self._b_emb, p.tokens)
 
         # Pre-LN encoder stack.
@@ -678,16 +447,15 @@ class CompiledStudent:
             emit_layer_norm(p.tokens, layer.ln1_g, layer.ln1_b,
                             layer.ln1_eps)
             if fused_qkv:
-                emit_gemm(p.normed, layer.wqkv, p.qkv,
-                          f"layer{index}.qkv")
+                emit_gemm(p.normed, layer.wqkv, p.qkv)
                 emit(np.add, p.qkv, layer.bqkv, p.qkv)
                 qh, kh_t, vh = p.qh_f, p.kh_tf, p.vh_f
             else:
-                emit_gemm(p.normed, layer.wq, p.q3, f"layer{index}.query")
+                emit_gemm(p.normed, layer.wq, p.q3)
                 emit(np.add, p.q3, layer.bq, p.q3)
-                emit_gemm(p.normed, layer.wk, p.k3, f"layer{index}.key")
+                emit_gemm(p.normed, layer.wk, p.k3)
                 emit(np.add, p.k3, layer.bk, p.k3)
-                emit_gemm(p.normed, layer.wv, p.v3, f"layer{index}.value")
+                emit_gemm(p.normed, layer.wv, p.v3)
                 emit(np.add, p.v3, layer.bv, p.v3)
                 qh, kh_t, vh = p.qh, p.kh_t, p.vh
             emit(np.matmul, qh, kh_t, p.scores)
@@ -696,27 +464,22 @@ class CompiledStudent:
             emit_reduce(np.maximum, p.scores, -1, p.score_red)
             emit(np.subtract, p.scores, p.score_red, p.scores)
             emit(np.exp, p.scores, p.scores)
-            emit_reduce(np.add, p.scores, -1, softmax_sum, acc_dtype)
-            emit(np.divide, p.scores, softmax_sum, p.scores)
+            emit_reduce(np.add, p.scores, -1, p.score_red)
+            emit(np.divide, p.scores, p.score_red, p.scores)
             if need_attention and index == last:
                 # Head average via sum * (1/heads), matching Tensor.mean.
-                if mixed:
-                    emit(np.add.reduce, p.scores, 1, np.float64, p.att64)
-                    emit(np.multiply, p.att64, self._head_mean,
-                         p.attention)
-                else:
-                    emit(np.add.reduce, p.scores, 1, None, p.attention)
-                    emit(np.multiply, p.attention, self._head_mean,
-                         p.attention)
+                emit(np.add.reduce, p.scores, 1, None, p.attention)
+                emit(np.multiply, p.attention, self._head_mean,
+                     p.attention)
             emit(np.matmul, p.scores, vh, p.context)
             emit(np.copyto, p.merged4, p.context_t)
-            emit_gemm(p.merged, layer.wo, p.sub_out, f"layer{index}.out")
+            emit_gemm(p.merged, layer.wo, p.sub_out)
             emit(np.add, p.sub_out, layer.bo, p.sub_out)
             emit(np.add, p.tokens, p.sub_out, p.tokens)
 
             emit_layer_norm(p.tokens, layer.ln2_g, layer.ln2_b,
                             layer.ln2_eps)
-            emit_gemm(p.normed, layer.w1, p.hidden, f"layer{index}.ffn1")
+            emit_gemm(p.normed, layer.w1, p.hidden)
             emit(np.add, p.hidden, layer.b1, p.hidden)
             if layer.activation == "relu":
                 # Mirror Tensor.relu's mask-multiply (keeps -0.0 bits).
@@ -724,7 +487,7 @@ class CompiledStudent:
                 emit(np.multiply, p.hidden, p.mask, p.hidden)
             else:
                 _emit_gelu(emit, p.hidden, p.gelu_inner)
-            emit_gemm(p.hidden, layer.w2, p.sub_out, f"layer{index}.ffn2")
+            emit_gemm(p.hidden, layer.w2, p.sub_out)
             emit(np.add, p.sub_out, layer.b2, p.sub_out)
             emit(np.add, p.tokens, p.sub_out, p.tokens)
 
@@ -732,15 +495,15 @@ class CompiledStudent:
                         self._final_eps)
 
         # Projection head + RevIN de-normalization.
-        emit_gemm(p.normed, self._w_head, p.projected, "head")
+        emit_gemm(p.normed, self._w_head, p.projected)
         emit(np.add, p.projected, self._b_head, p.projected)
         if self._revin_affine:
             emit(np.subtract, p.projected_t, self._revin_b, p.prediction)
             emit(np.divide, p.prediction, self._revin_denom, p.prediction)
         else:
             emit(np.copyto, p.prediction, p.projected_t)
-        emit(np.multiply, p.prediction, std_buf, p.prediction)
-        emit(np.add, p.prediction, mean_buf, p.prediction)
+        emit(np.multiply, p.prediction, p.std, p.prediction)
+        emit(np.add, p.prediction, p.mean, p.prediction)
         return ops
 
 
@@ -777,8 +540,7 @@ class _Views:
                  "vh", "qkv", "qh_f", "kh_tf", "vh_f", "scores",
                  "score_red", "context", "context_t", "merged", "merged4",
                  "sub_out", "hidden", "mask", "gelu_inner", "attention",
-                 "projected", "projected_t", "prediction", "flat2d",
-                 "mean64", "std64", "red64", "ssum64", "att64")
+                 "projected", "projected_t", "prediction")
 
     def __init__(self, engine: "CompiledStudent", B: int):
         C = engine._capacity
@@ -832,30 +594,6 @@ class _Views:
         self.projected = take("projected", N, M)
         self.projected_t = self.projected.transpose(0, 2, 1)
         self.prediction = take("prediction", M, N)
-        # Float64 accumulators for the ``mixed`` precision mode (the
-        # statistical reductions run through these; everything else
-        # stays float32).  Unallocated outside mixed mode.
-        if engine.precision == "mixed":
-            # Mixed mode exists precisely to run the statistical
-            # reductions through float64 accumulators.
-            # repro: allow[dtype-hygiene] — sanctioned wide dtype
-            take64 = partial(take, dtype=np.float64)
-            self.mean64 = take64("mean64", 1, N)
-            self.std64 = take64("std64", 1, N)
-            self.red64 = take64("red64", N, 1)
-            self.ssum64 = take64("ssum64", heads, N, 1)
-            self.att64 = take64("att64", N, N)
-        else:
-            self.mean64 = self.std64 = self.red64 = None
-            self.ssum64 = self.att64 = None
-        # Contiguous 2-D aliases for the collapsed-GEMM tape variant:
-        # (B, N, K) @ (D, K) weight matmuls become one (B*N, K) GEMM.
-        # Transpose views (norm_t, context_t, projected_t) have none —
-        # GEMMs touching them always stay 3-D.
-        self.flat2d = {id(b): b.reshape(B * N, b.shape[-1])
-                       for b in (self.tokens, self.normed, self.q3, self.k3,
-                                 self.v3, self.qkv, self.merged,
-                                 self.sub_out, self.hidden, self.projected)}
 
 
 _GELU_CUBIC = _const(0.044715)

@@ -7,7 +7,7 @@ Pre-LN transformers, optimizers and schedulers.
 
 from . import functional, init
 from .attention import MultiHeadAttention, causal_mask
-from .buffers import ScratchPool, donate, donate_parameters, quantize_per_channel
+from .buffers import ScratchPool, donate
 from .dropout import Dropout
 from .embedding import Embedding, PositionalEncoding, SinusoidalPositionalEncoding
 from .linear import Linear
@@ -31,8 +31,6 @@ __all__ = [
     "where",
     "ScratchPool",
     "donate",
-    "donate_parameters",
-    "quantize_per_channel",
     "Parameter",
     "Module",
     "ModuleList",

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["donate", "donate_parameters", "quantize_per_channel",
-           "ScratchPool"]
+__all__ = ["donate", "ScratchPool"]
 
 
 def donate(array, dtype=np.float32, copy: bool = False) -> np.ndarray:
@@ -39,35 +38,6 @@ def donate(array, dtype=np.float32, copy: bool = False) -> np.ndarray:
     if copy and out is array:
         out = out.copy()
     return out
-
-
-def donate_parameters(module, dtype=np.float32,
-                      copy: bool = False) -> dict[str, np.ndarray]:
-    """Donated backing arrays of every named parameter of ``module``."""
-    return {name: donate(p.data, dtype=dtype, copy=copy)
-            for name, p in module.named_parameters()}
-
-
-def quantize_per_channel(
-        weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric per-output-channel int8 quantization of a weight matrix.
-
-    ``weight`` is a ``(fan_in, fan_out)`` projection; each output channel
-    ``c`` gets its own scale ``max(|W[:, c]|) / 127`` so wide channels do
-    not crush narrow ones.  Returns ``(q, scales, dequantized)`` where
-    ``q`` is the ``int8`` code matrix, ``scales`` the per-channel
-    ``float32`` step sizes, and ``dequantized = q * scales`` the
-    ``float32`` reconstruction an engine can feed straight into the same
-    GEMMs (numpy has no int8 BLAS path — the win is the 4x-smaller
-    canonical weight form plus the explicit, checkable error bound:
-    ``|W - dequantized| <= scales / 2`` per channel, by construction of
-    round-to-nearest).
-    """
-    w = np.ascontiguousarray(weight, dtype=np.float32)
-    amax = np.abs(w).max(axis=0)
-    scales = np.where(amax > 0.0, amax / 127.0, 1.0).astype(np.float32)
-    q = np.clip(np.rint(w / scales), -127.0, 127.0).astype(np.int8)
-    return q, scales, q.astype(np.float32) * scales
 
 
 class ScratchPool:

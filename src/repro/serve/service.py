@@ -4,17 +4,15 @@
 north-star asks for: it lazily loads student artifact bundles from a
 directory, keeps at most ``max_models`` of them resident (LRU), and
 coalesces concurrent single-window requests for the same model into one
-batched student forward.  The student is batch-independent (RevIN is
-per-instance, every matmul runs the same per-slice GEMM), so a coalesced
-forward is *bitwise identical* to batch-1 serving — only faster, because
-B windows share one pass of Python/layer overhead.
+batched forward of that model's :class:`repro.infer.CompiledStudent`.
+The student is batch-independent (RevIN is per-instance, every matmul
+runs the same per-slice GEMM) and the compiled engine is bitwise equal
+to ``StudentModel.predict``, so a coalesced forward is *bitwise
+identical* to batch-1 module inference — only faster, because B
+windows share one pass of Python/layer overhead.
 
-Batches for *different* models are independent, so the drain loop can
-run them concurrently: with ``serve_threads > 1`` each round pops one
-batch per resident model and dispatches them onto a small thread pool
-(numpy GEMMs release the GIL).  A model's batches still execute in
-strict FIFO order — one batch per key per round, with a barrier between
-rounds — so result ordering stays deterministic.
+One drain thread serves every model, one batch at a time, in FIFO
+order per model.
 """
 
 from __future__ import annotations
@@ -22,13 +20,12 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.student import StudentModel
-from ..infer import CompiledStudent, resolve_engine, resolve_precision
+from ..infer import CompiledStudent
 from .artifact import (
     ArtifactError,
     StudentArtifact,
@@ -68,8 +65,8 @@ class ServiceStats:
     """Counters exposed for benchmarks and monitoring (O(1) space).
 
     The ``plan_*`` fields aggregate the compiled engines' shape-plan
-    caches across the *resident* models (zero on the module engine):
-    ``plan_rebuilds`` counts full polymorphic compiles (scratch
+    caches across the *resident* models: ``plan_rebuilds`` counts full
+    polymorphic compiles (scratch
     allocation + probe), while hits/misses/evictions track the cheap
     per-batch-size view bindings.  A healthy steady state shows
     rebuilds frozen at one per model and hits dwarfing misses.
@@ -158,19 +155,11 @@ class _Request:
 
 
 class _LoadedModel:
-    __slots__ = ("artifact", "student", "compiled")
+    __slots__ = ("artifact", "compiled")
 
-    def __init__(self, artifact: StudentArtifact, student: StudentModel,
-                 compiled: CompiledStudent | None = None):
+    def __init__(self, artifact: StudentArtifact, compiled: CompiledStudent):
         self.artifact = artifact
-        self.student = student
-        #: Tape-free engine for this entry (None on the module engine).
         self.compiled = compiled
-
-    def predict(self, histories: np.ndarray) -> np.ndarray:
-        if self.compiled is not None:
-            return self.compiled.predict(histories)
-        return self.student.predict(histories)
 
 
 class ForecastService:
@@ -187,26 +176,10 @@ class ForecastService:
         Resident-model cap; least-recently-used bundles are evicted.
     max_batch:
         Upper bound on how many queued requests one forward coalesces.
-        Compiled engines are built with this as their batch capacity,
-        so the serve path never recompiles: every coalesced batch size
-        binds views of the one load-time plan.
-    engine:
-        Inference engine for the batched forwards: ``"module"`` (the
-        autograd student under ``no_grad``) or ``"compiled"`` (a
-        tape-free :class:`repro.infer.CompiledStudent` built per LRU
-        entry at load time).  At default precision the engines are
-        bitwise identical — switching never changes a served forecast,
-        only its cost.
-    precision:
-        Numeric mode for compiled engines (``"float32"``, ``"mixed"``,
-        ``"int8"``; see :data:`repro.infer.PRECISIONS`).  Reduced modes
-        are error-budget-gated at load time and require
-        ``engine="compiled"``.
-    serve_threads:
-        Worker threads draining the queue.  ``1`` (default) keeps the
-        single-threaded drain; ``N > 1`` runs up to N *different
-        models'* batches concurrently per round.  Requests for one
-        model are never executed concurrently or reordered.
+        Each model's :class:`repro.infer.CompiledStudent` is built at
+        load time with this as its batch capacity, so the serve path
+        never recompiles: every coalesced batch size binds views of the
+        one load-time plan.
 
     Requests enter through :meth:`submit` (returns a
     :class:`~concurrent.futures.Future`) or the blocking :meth:`predict`.
@@ -229,24 +202,14 @@ class ForecastService:
     }
 
     def __init__(self, artifact_dir: str, max_models: int = 4,
-                 max_batch: int = 64, engine: str = "module",
-                 precision: str = "float32", serve_threads: int = 1):
+                 max_batch: int = 64):
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if serve_threads < 1:
-            raise ValueError("serve_threads must be >= 1")
         self.artifact_dir = artifact_dir
         self.max_models = int(max_models)
         self.max_batch = int(max_batch)
-        self.engine = resolve_engine(engine)
-        self.precision = resolve_precision(precision)
-        if self.precision != "float32" and self.engine != "compiled":
-            raise ValueError(
-                f"precision={self.precision!r} requires engine='compiled' "
-                f"(the module path is float32-only)")
-        self.serve_threads = int(serve_threads)
         self.stats = ServiceStats()
 
         self._paths: dict[tuple[str, int], str] = {}
@@ -259,10 +222,6 @@ class ForecastService:
         self._in_flight = 0
         self._paused = False
         self._closed = False
-        self._pool = (ThreadPoolExecutor(
-            max_workers=self.serve_threads,
-            thread_name_prefix="forecast-batch")
-            if self.serve_threads > 1 else None)
         self.scan()
         self._worker = threading.Thread(
             target=self._serve_loop, name="forecast-service", daemon=True)
@@ -320,7 +279,7 @@ class ForecastService:
     def snapshot(self) -> ServiceStats:
         """Consistent copy of the counters.
 
-        The worker threads mutate :attr:`stats` under the service lock;
+        The drain thread mutates :attr:`stats` under the service lock;
         reading the live dataclass field-by-field can interleave with a
         batch completing.  ``snapshot()`` copies everything under the
         same lock and folds in the resident compiled engines' plan-cache
@@ -331,8 +290,7 @@ class ForecastService:
             stats = replace(self.stats)
             stats.queue_depth = self._queue_depth
             stats.in_flight = self._in_flight
-            engines = [m.compiled for m in self._models.values()
-                       if m.compiled is not None]
+            engines = [m.compiled for m in self._models.values()]
         for engine in engines:
             plan = engine.plan_stats()
             stats.plan_hits += plan["hits"]
@@ -399,10 +357,8 @@ class ForecastService:
         # max_batch doubles as the engine's batch capacity: the one
         # compile stall happens here, at load time, and no coalesced
         # batch size can ever trigger a rebuild on the request path.
-        compiled = (CompiledStudent(student, precision=self.precision,
-                                    max_batch=self.max_batch)
-                    if self.engine == "compiled" else None)
-        model = _LoadedModel(artifact, student, compiled)
+        model = _LoadedModel(
+            artifact, CompiledStudent(student, max_batch=self.max_batch))
         with self._lock:
             existing = self._models.get(key)
             if existing is not None:  # lost a concurrent load race
@@ -478,32 +434,21 @@ class ForecastService:
                     self._wake.wait()
                 if not self._pending:
                     return  # closed and drained
-                # One round: one batch each for up to serve_threads
-                # distinct models.  A key reappears only in a later
-                # round (after the barrier below), so one model's
-                # batches never run concurrently or out of order.
-                rounds = []
-                for key in list(self._pending)[: self.serve_threads]:
-                    queue = self._pending[key]
-                    batch = queue[: self.max_batch]
-                    del queue[: len(batch)]
-                    if not queue:
-                        del self._pending[key]
-                    self.stats.batches += 1
-                    self.stats.served += len(batch)
-                    self.stats.max_coalesced = max(
-                        self.stats.max_coalesced, len(batch))
-                    self._queue_depth -= len(batch)
-                    self._in_flight += len(batch)
-                    rounds.append((key, batch))
-            if self._pool is not None and len(rounds) > 1:
-                done = [self._pool.submit(self._run_guarded, key, batch)
-                        for key, batch in rounds]
-                for future in done:
-                    future.result()  # _run_guarded never raises
-            else:
-                for key, batch in rounds:
-                    self._run_guarded(key, batch)
+                # One batch from the first pending key.  A key keeps its
+                # place until its queue empties, so one model's requests
+                # run in FIFO order.
+                key, queue = next(iter(self._pending.items()))
+                batch = queue[: self.max_batch]
+                del queue[: len(batch)]
+                if not queue:
+                    del self._pending[key]
+                self.stats.batches += 1
+                self.stats.served += len(batch)
+                self.stats.max_coalesced = max(
+                    self.stats.max_coalesced, len(batch))
+                self._queue_depth -= len(batch)
+                self._in_flight += len(batch)
+            self._run_guarded(key, batch)
 
     def _run_guarded(self, key: tuple[str, int],
                      batch: list[_Request]) -> None:
@@ -528,7 +473,7 @@ class ForecastService:
             if request.raw_values:
                 window = scaler.transform(window).astype(np.float32)
             histories.append(window)
-        predictions = model.predict(np.stack(histories))
+        predictions = model.compiled.predict(np.stack(histories))
         for request, prediction in zip(batch, predictions):
             if request.raw_values:
                 prediction = scaler.inverse_transform(prediction)
@@ -545,8 +490,6 @@ class ForecastService:
             self._closed = True
             self._wake.notify_all()
         self._worker.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "ForecastService":
         return self

@@ -153,21 +153,6 @@ class ShardRouter:
         self.workers[0].service.restore_stats(payload)
 
     # ------------------------------------------------------------------
-    # uniform service attributes
-    # ------------------------------------------------------------------
-    @property
-    def engine(self) -> str:
-        return self.workers[0].service.engine
-
-    @property
-    def precision(self) -> str:
-        return self.workers[0].service.precision
-
-    @property
-    def serve_threads(self) -> int:
-        return self.workers[0].service.serve_threads
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def pause(self) -> None:

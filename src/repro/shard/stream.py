@@ -162,11 +162,8 @@ class ShardedStreamingForecaster:
         stream["series"] = series
         stream["alarmed"] = alarmed
         stream["workers"] = len(self.shards)
-        service = self.router.snapshot().as_dict()
-        service["engine"] = self.router.engine
-        service["precision"] = self.router.precision
-        service["serve_threads"] = self.router.serve_threads
-        return {"stream": stream, "service": service}
+        return {"stream": stream,
+                "service": self.router.snapshot().as_dict()}
 
     def shard_snapshots(self) -> dict[int, dict]:
         """Unmerged per-shard snapshots keyed by shard label."""

@@ -30,7 +30,7 @@ class ShardWorker:
         the same artifacts, so any worker can serve any model key.
     **service_kwargs:
         Forwarded to :class:`ForecastService` (``max_models``,
-        ``max_batch``, ``engine``, ``precision``, ``serve_threads``).
+        ``max_batch``).
 
     ``forecaster`` is attached by
     :class:`repro.shard.stream.ShardedStreamingForecaster` when the
@@ -49,5 +49,4 @@ class ShardWorker:
         self.service.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ShardWorker(shard={self.shard}, "
-                f"engine={self.service.engine!r})")
+        return f"ShardWorker(shard={self.shard})"

@@ -9,10 +9,9 @@ demand).  Each trigger submits the current window to the underlying
 concurrent series share the same micro-batched student forwards — the
 streaming layer adds state and policy, never a second inference path,
 which is what makes replayed streams bitwise identical to offline
-``predict()`` (see :mod:`repro.stream.replay`).  The inference engine
-(module vs. tape-free compiled, see :mod:`repro.infer`) is therefore
-inherited from the service — and because the engines are bitwise
-identical, the replay parity guarantee holds under either.
+``predict()`` (see :mod:`repro.stream.replay`).  Forecasts therefore
+come from the service's compiled engine (see :mod:`repro.infer`),
+which is bitwise identical to ``StudentModel.predict``.
 
 A per-key :class:`DriftMonitor` scores every realized tick against the
 forecast previously issued for it; alarmed series are flagged for
@@ -350,11 +349,8 @@ class StreamingForecaster:
             stream["seq"] = self._seq
             stream["series"] = len(self.ingestor.keys())
             stream["alarmed"] = len(self.alarmed_keys())
-        service = self.service.snapshot().as_dict()
-        service["engine"] = self.service.engine
-        service["precision"] = self.service.precision
-        service["serve_threads"] = self.service.serve_threads
-        return {"stream": stream, "service": service}
+        return {"stream": stream,
+                "service": self.service.snapshot().as_dict()}
 
     # ------------------------------------------------------------------
     # durable state
@@ -488,9 +484,9 @@ class StreamingForecaster:
         """Write a durable snapshot of the full universe to ``path``.
 
         Convenience around :func:`repro.durable.snapshot.write_snapshot`
-        — stamps the bundle's weight digest plus the live engine and
-        precision so recovery can verify it is importing into a
-        compatible serving process.  Returns the written path.
+        — stamps the bundle's weight digest so recovery can verify it
+        is importing into a process serving the same weights.  Returns
+        the written path.
         """
         from ..durable.snapshot import write_snapshot
         from ..serve.artifact import ArtifactError, read_artifact_digest
@@ -502,9 +498,7 @@ class StreamingForecaster:
                     self.service.path_for(self.model_key))
             except (KeyError, ArtifactError):
                 digest = None
-            return write_snapshot(path, state, artifact_digest=digest,
-                                  engine=self.service.engine,
-                                  precision=self.service.precision)
+            return write_snapshot(path, state, artifact_digest=digest)
 
     def restore_from(self, source: str, *, replay_wal: bool = True,
                      strict_wal: bool = True, recoverer=None):

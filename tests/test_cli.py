@@ -48,12 +48,6 @@ class TestCLI:
         assert code == 0
         assert "test MSE=" in capsys.readouterr().out
 
-        code = main(["evaluate", "--dataset", "ETTm1", "--length", "500",
-                     "--artifact", out, "--engine", "compiled",
-                     "--precision", "mixed"])
-        assert code == 0
-        assert "test MSE=" in capsys.readouterr().out
-
         preds = os.path.join(tmp_path, "preds.npy")
         code = main(["predict", "--artifact", out, "--dataset", "ETTm1",
                      "--length", "500", "--raw", "--out", preds])
@@ -68,12 +62,11 @@ class TestCLI:
 
         code = main(["serve", "--artifacts", os.path.dirname(out),
                      "--dataset", "ETTm1", "--length", "500",
-                     "--requests", "8", "--serve-threads", "2"])
+                     "--requests", "8"])
         assert code == 0
         served = capsys.readouterr().out
         assert "8 requests" in served and "req/s" in served
-        assert "2 drain thread(s)" in served
-        assert "plan cache:" in served  # compiled default exposes stats
+        assert "plan cache:" in served  # the compiled engine's stats
 
         stats_path = os.path.join(tmp_path, "stream.json")
         code = main(["stream", "--artifacts", os.path.dirname(out),
@@ -129,50 +122,6 @@ class TestCLI:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestEngineFlagValidation:
-    """--engine/--precision fail fast at the parser, never deep inside."""
-
-    def test_unknown_engine_rejected_with_clear_message(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["predict", "--artifact", "x.npz", "--engine", "jit"])
-        err = capsys.readouterr().err
-        assert "unknown inference engine 'jit'" in err
-        assert "'module', 'compiled'" in err
-
-    def test_unknown_precision_rejected_with_clear_message(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["predict", "--artifact", "x.npz",
-                  "--precision", "bf16"])
-        err = capsys.readouterr().err
-        assert "unknown engine precision 'bf16'" in err
-
-    def test_reduced_precision_requires_compiled_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--artifacts", "nowhere", "--engine", "module",
-                  "--precision", "int8"])
-        assert "requires --engine compiled" in capsys.readouterr().err
-
-    def test_stream_verify_requires_float32(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["stream", "--artifacts", "nowhere", "--verify",
-                  "--precision", "mixed"])
-        assert "--precision float32" in capsys.readouterr().err
-
-    def test_help_documents_engine_flags(self, capsys):
-        for command in ("evaluate", "predict", "serve", "stream"):
-            with pytest.raises(SystemExit) as excinfo:
-                main([command, "--help"])
-            assert excinfo.value.code == 0
-            out = capsys.readouterr().out
-            assert "--engine" in out
-            assert "--precision" in out
-        for command in ("serve", "stream"):
-            with pytest.raises(SystemExit) as excinfo:
-                main([command, "--help"])
-            assert excinfo.value.code == 0
-            assert "--serve-threads" in capsys.readouterr().out
 
 
 class TestDurabilityFlagValidation:

@@ -2,7 +2,7 @@
 
 The headline test kills a replay mid-stream at an arbitrary tick,
 recovers, finishes, and demands the merged forecasts be **bitwise
-identical** to an uninterrupted run — under both engines.  The fault
+identical** to an uninterrupted run.  The fault
 tests prove every stage fails closed: each injected fault lands the
 recoverer in ``failed`` with a specific ``failure_reason`` and never a
 partial import.
@@ -31,7 +31,6 @@ from repro.durable import (
     TickWAL,
     TornWALError,
     WALError,
-    atomic_write_json,
     decode_key,
     disarm_all,
     encode_key,
@@ -46,6 +45,7 @@ from repro.durable import (
 )
 from repro.durable.faults import torn_tail
 from repro.nn.serialization import load_arrays, save_arrays
+from repro.persist import arrays_digest, atomic_write_json
 
 L, N, M = 32, 3, 8
 
@@ -88,8 +88,8 @@ def bundle_dir(tmp_path):
     return directory
 
 
-def make_forecaster(bundle_dir, engine="module", **overrides):
-    service = ForecastService(bundle_dir, engine=engine)
+def make_forecaster(bundle_dir, **overrides):
+    service = ForecastService(bundle_dir)
     options = dict(cadence=5, raw_values=True)
     options.update(overrides)
     forecaster = StreamingForecaster(service, "ETTm1", M, **options)
@@ -337,18 +337,16 @@ class TestStreamSnapshotter:
 # the headline: kill mid-stream, recover, finish — bitwise identical
 # ----------------------------------------------------------------------
 class TestKillRecoverParity:
-    @pytest.mark.parametrize("engine", ["module", "compiled"])
-    def test_recovered_replay_is_bitwise_identical(self, engine,
-                                                   bundle_dir, walk,
+    def test_recovered_replay_is_bitwise_identical(self, bundle_dir, walk,
                                                    tmp_path):
         kill_at = 73  # not a checkpoint multiple: WAL replay must kick in
         snapdir = str(tmp_path / "snaps")
 
-        service, reference = make_forecaster(bundle_dir, engine=engine)
+        service, reference = make_forecaster(bundle_dir)
         uninterrupted = replay(reference, walk)
         service.close()
 
-        service, victim = make_forecaster(bundle_dir, engine=engine)
+        service, victim = make_forecaster(bundle_dir)
         StreamSnapshotter(victim, snapdir, every=13)
         before = replay(victim, walk, max_ticks=kill_at)
         # the crash: no snapshotter close, no final checkpoint — the
@@ -356,7 +354,7 @@ class TestKillRecoverParity:
         service.close()
         del victim
 
-        service, recovered = make_forecaster(bundle_dir, engine=engine)
+        service, recovered = make_forecaster(bundle_dir)
         recoverer = StatefulRecoverer()
         state = recoverer.recover(snapdir, recovered)
         assert state.stage is RecoveryStages.SUCCEEDED
@@ -639,5 +637,28 @@ class TestSnapshotFormat:
                                             replay_wal=False)
         assert state.stage is RecoveryStages.FAILED
         assert "digest mismatch" in state.failure_reason
+        service.close()
+        service2.close()
+
+    def test_snapshot_stamped_with_engine_and_precision_recovers(
+            self, bundle_dir, walk, tmp_path):
+        # Snapshots written before the engine/precision options were
+        # removed carry both keys in __meta__; they must still import.
+        service, forecaster = make_forecaster(bundle_dir)
+        replay(forecaster, walk, max_ticks=40)
+        path = forecaster.snapshot_to(str(tmp_path / "legacy.npz"))
+        arrays = load_arrays(path)
+        meta = json.loads(str(arrays["__meta__"]))
+        meta.update(engine="compiled", precision="float32")
+        arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+        arrays["__digest__"] = np.array(
+            arrays_digest(arrays, skip=("__digest__",)))
+        save_arrays(path, arrays)
+
+        service2, restored = make_forecaster(bundle_dir)
+        state = StatefulRecoverer().recover(path, restored,
+                                            replay_wal=False)
+        assert state.stage is RecoveryStages.SUCCEEDED
+        states_bitwise_equal(forecaster, restored)
         service.close()
         service2.close()

@@ -17,6 +17,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ def history(rng) -> np.ndarray:
 
 def usage_of(gateway: Gateway, tenant: str) -> dict:
     return gateway.meter.account(tenant).as_dict()
+
+
+#: Exception text that must never reach a client.
+SECRET = "/secret/path"
+
+
+class _FailingService(ForecastService):
+    """Forecasts fail with internal detail: ``submit`` raises, or (with
+    ``fail_future``) returns a future that fails."""
+
+    def __init__(self, artifact_dir, fail_future: bool = False):
+        super().__init__(artifact_dir)
+        self.fail_future = fail_future
+
+    def submit(self, history, dataset=None, horizon=None,
+               raw_values=False):
+        if not self.fail_future:
+            raise RuntimeError(SECRET)
+        future: Future = Future()
+        future.set_exception(RuntimeError(SECRET))
+        return future
 
 
 # ----------------------------------------------------------------------
@@ -501,6 +523,31 @@ class TestGatewayHandlers:
         assert Gateway(service, ApiKeyRegistry(keys_path)).load_usage(
             str(tmp_path / "never-written.json")) is False
 
+    @pytest.mark.parametrize("fail_future", [False, True])
+    def test_500_never_leaks_exception_text(self, artifact_dir, keys_path,
+                                            rng, fail_future):
+        with _FailingService(artifact_dir, fail_future) as failing:
+            gateway = Gateway(failing, ApiKeyRegistry(keys_path))
+            tenant_key = gateway.authenticate("k-acme")
+            predicted = gateway.predict(tenant_key, {
+                "history": rng.normal(size=(L, N)).tolist()})
+            ingested = gateway.ingest(tenant_key, {
+                "series": "s", "timestamp": 0.0,
+                "values": rng.normal(size=(L, N)).tolist(), "wait": True})
+        assert predicted.status == 500
+        assert SECRET not in json.dumps(predicted.payload)
+        assert SECRET not in json.dumps(ingested.payload)
+        if fail_future:
+            # the ticks landed; only the cadence forecast failed
+            assert ingested.status == 200
+            assert "forecast_error" in ingested.payload
+            assert gateway.stats.errors == 1
+        else:
+            assert ingested.status == 500
+            assert gateway.stats.errors == 2
+        assert usage_of(gateway, "acme")["spent"] == (
+            L * INGEST_UNITS if fail_future else 0)
+
 
 # ----------------------------------------------------------------------
 # quota exactness under concurrency
@@ -636,6 +683,27 @@ class TestGatewayHTTP:
         assert http(base + "/v1/nowhere", key="k-acme",
                     payload={})[0] == 404
         assert http(base + "/nope")[0] == 404
+
+    def test_500_never_leaks_exception_text(self, artifact_dir, keys_path,
+                                            history, monkeypatch):
+        with _FailingService(artifact_dir) as failing:
+            gateway = Gateway(failing, ApiKeyRegistry(keys_path))
+            with GatewayServer(gateway).start() as server:
+                status, body, _ = http(
+                    server.url + "/v1/predict", key="k-acme",
+                    payload={"history": history.tolist()})
+                assert status == 500
+                assert SECRET not in json.dumps(body)
+                # a handler that raises outright is caught by the
+                # transport, which must not echo the text either
+                def explode():
+                    raise RuntimeError(SECRET)
+
+                monkeypatch.setattr(gateway, "stats_view", explode)
+                status, body, _ = http(server.url + "/v1/stats",
+                                       key="k-acme")
+                assert status == 500
+                assert SECRET not in json.dumps(body)
 
     def test_draining_gateway_sheds_with_503(self, live, history):
         gateway, base = live

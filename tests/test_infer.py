@@ -2,8 +2,8 @@
 
 The engine's one contract is **bitwise parity** with the module
 forward — every test here either asserts identical bytes against the
-autograd path or exercises the scratch/locking machinery that makes the
-compiled path allocation-free.
+``StudentModel.predict`` oracle or exercises the scratch/locking
+machinery that makes the compiled path allocation-free.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.core import TimeKDConfig, TimeKDForecaster
 from repro.core.student import StudentModel, evaluate_student
 from repro.data import StandardScaler, load_dataset, make_forecasting_data
-from repro.infer import ENGINES, CompiledStudent, compile_student, resolve_engine
+from repro.infer import ENGINES, CompiledStudent, resolve_engine
 from repro.nn import no_grad
 from repro.serve import ForecastService, save_student_artifact
 from repro.stream import StreamingForecaster, replay, verify_parity
@@ -45,14 +45,15 @@ def make_student(config: TimeKDConfig | None = None,
 
 
 def make_bundle(directory, name="m.npz", dataset="ETTm1",
-                config: TimeKDConfig | None = None) -> TimeKDConfig:
+                config: TimeKDConfig | None = None) -> StudentModel:
+    """Write a bundle; returns its student, the parity oracle."""
     config = config or tiny_config()
     student = make_student(config)
     scaler = StandardScaler().fit(np.random.default_rng(0).normal(
         2.0, 3.0, size=(200, config.num_variables)))
     save_student_artifact(os.path.join(directory, name), student, config,
                           scaler=scaler, metadata={"dataset": dataset})
-    return config
+    return student
 
 
 class TestBufferDonation:
@@ -71,16 +72,6 @@ class TestBufferDonation:
         assert out.flags["C_CONTIGUOUS"]
         assert out is not transposed
         assert donate(np.ones(3, np.float64)).dtype == np.float32
-
-    def test_donate_parameters_names_every_weight(self):
-        from repro.nn import donate_parameters
-
-        student = make_student()
-        donated = donate_parameters(student)
-        named = dict(student.named_parameters())
-        assert donated.keys() == named.keys()
-        for name, array in donated.items():
-            assert array is named[name].data  # donated, not copied
 
     def test_scratch_pool_reuses_by_name_shape_dtype(self):
         from repro.nn import ScratchPool
@@ -119,7 +110,7 @@ class TestBitwiseParity:
         config = tiny_config(num_layers=layers, num_heads=heads,
                              d_model=d_model, ffn_dim=2 * d_model)
         student = make_student(config, seed=layers)
-        engine = compile_student(student)
+        engine = CompiledStudent(student)
         x = rng.standard_normal((5, L, N)).astype(np.float32)
         np.testing.assert_array_equal(engine.predict(x), student.predict(x))
 
@@ -298,63 +289,51 @@ class TestForecasterIntegration:
 
 class TestServiceIntegration:
     def test_compiled_service_bitwise_equal_to_module(self, tmp_path, rng):
-        make_bundle(str(tmp_path))
+        student = make_bundle(str(tmp_path))
         windows = rng.standard_normal((6, L, N)).astype(np.float32)
-        with ForecastService(str(tmp_path), engine="module") as service:
-            module_out = [service.predict(w) for w in windows]
-        with ForecastService(str(tmp_path), engine="compiled") as service:
-            assert service.engine == "compiled"
-            compiled_out = [service.predict(w) for w in windows]
-        for a, b in zip(module_out, compiled_out):
-            np.testing.assert_array_equal(a, b)
+        with ForecastService(str(tmp_path)) as service:
+            served = [service.predict(w) for w in windows]
+        for window, forecast in zip(windows, served):
+            np.testing.assert_array_equal(
+                forecast, student.predict(window[None])[0])
 
     def test_compiled_batched_drain_parity(self, tmp_path, rng):
-        make_bundle(str(tmp_path))
+        student = make_bundle(str(tmp_path))
         windows = rng.standard_normal((12, L, N)).astype(np.float32)
-        with ForecastService(str(tmp_path), engine="module") as service:
-            expected = [service.predict(w) for w in windows]
-        with ForecastService(str(tmp_path), engine="compiled",
-                             max_batch=16) as service:
+        with ForecastService(str(tmp_path), max_batch=16) as service:
             service.pause()  # force one coalesced compiled forward
             futures = [service.submit(w) for w in windows]
             service.resume()
             results = [f.result() for f in futures]
             assert service.snapshot().max_coalesced > 1
-        for want, got in zip(expected, results):
-            np.testing.assert_array_equal(want, got)
-
-    def test_invalid_engine_rejected(self, tmp_path):
-        make_bundle(str(tmp_path))
-        with pytest.raises(ValueError, match="unknown inference engine"):
-            ForecastService(str(tmp_path), engine="jit")
+        for window, got in zip(windows, results):
+            np.testing.assert_array_equal(
+                got, student.predict(window[None])[0])
 
 
 class TestStreamingParity:
     def test_replay_parity_through_compiled_engine(self, tmp_path, rng):
         make_bundle(str(tmp_path))
         walk = np.cumsum(rng.normal(size=(100, N)), axis=0)
-        with ForecastService(str(tmp_path), engine="compiled") as service:
+        with ForecastService(str(tmp_path)) as service:
             fc = StreamingForecaster(service, cadence=1)
             report = replay(fc, walk, key=("replay", 0), max_ticks=80)
             assert len(report.forecasts) == 80 - L + 1
             # the replay harness recomputes every forecast offline and
-            # demands bitwise identity — now through the compiled engine
+            # demands bitwise identity
             assert verify_parity(report, fc, walk) == len(report.forecasts)
-            assert report.service["engine"] == "compiled"
 
     def test_stream_and_module_services_agree(self, tmp_path, rng):
-        make_bundle(str(tmp_path))
+        student = make_bundle(str(tmp_path))
         walk = np.cumsum(rng.normal(size=(L + 10, N)), axis=0)
-        outputs = {}
-        for engine in ENGINES:
-            with ForecastService(str(tmp_path), engine=engine) as service:
-                fc = StreamingForecaster(service, cadence=1)
-                report = replay(fc, walk, key=("replay", engine))
-                outputs[engine] = report.forecasts
-        assert outputs["module"].keys() == outputs["compiled"].keys()
-        for tick, forecast in outputs["module"].items():
-            np.testing.assert_array_equal(forecast,
-                                          outputs["compiled"][tick])
+        with ForecastService(str(tmp_path)) as service:
+            fc = StreamingForecaster(service, cadence=1)
+            report = replay(fc, walk, key=("replay", 0))
+        assert sorted(report.forecasts) == list(range(L - 1, len(walk)))
+        for tick, forecast in report.forecasts.items():
+            window = walk[tick - L + 1: tick + 1].astype(np.float32)
+            np.testing.assert_array_equal(
+                forecast, student.predict(window[None])[0])
 
 
 class TestCLIEngineFlag:
@@ -362,22 +341,15 @@ class TestCLIEngineFlag:
         make_bundle(str(tmp_path), dataset="ETTm1",
                     config=tiny_config(num_variables=7))
         artifact = os.path.join(str(tmp_path), "m.npz")
-        outputs = {}
-        for engine in ENGINES:
-            out = os.path.join(str(tmp_path), f"pred-{engine}.npy")
-            code = main(["predict", "--artifact", artifact,
-                         "--dataset", "ETTm1", "--length", "300",
-                         "--engine", engine, "--out", out])
-            assert code == 0
-            outputs[engine] = np.load(out)
+        out = os.path.join(str(tmp_path), "pred.npy")
+        assert main(["predict", "--artifact", artifact,
+                     "--dataset", "ETTm1", "--length", "300",
+                     "--out", out]) == 0
         capsys.readouterr()
-        np.testing.assert_array_equal(outputs["module"],
-                                      outputs["compiled"])
-
-    def test_unknown_engine_rejected_by_parser(self, tmp_path, capsys):
-        make_bundle(str(tmp_path))
-        with pytest.raises(SystemExit):
-            main(["predict", "--artifact",
-                  os.path.join(str(tmp_path), "m.npz"),
-                  "--dataset", "ETTm1", "--engine", "jit"])
-        assert "unknown inference engine 'jit'" in capsys.readouterr().err
+        # the CLI's input window: the last test window of the dataset
+        data = make_forecasting_data(load_dataset("ETTm1", length=300),
+                                     history_length=L, horizon=M)
+        window, _ = data.test[-1]
+        oracle = TimeKDForecaster.from_artifact(artifact).predict(
+            window, engine="module")
+        assert np.load(out).tobytes() == oracle.tobytes()

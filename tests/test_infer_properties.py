@@ -1,11 +1,9 @@
 """Property-based invariants of the shape-polymorphic compiled engine.
 
-Two contracts under randomized stress: (1) any sequence of batch sizes
+The contract under randomized stress: any sequence of batch sizes
 served by one engine stays **bitwise identical** to the module forward
 with **zero tape rebuilds after warmup** — the whole point of the
-polymorphic plan; (2) reduced-precision modes honor their declared
-:class:`~repro.infer.ErrorBudget` — accepted compiles stay within it,
-violating budgets reject at compile time, never at serve time.
+polymorphic plan.
 
 Profiles are registered in ``conftest.py`` (``REPRO_HYPOTHESIS_PROFILE``
 selects ``default``/``ci``); the hypothesis classes skip when hypothesis
@@ -24,12 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core import TimeKDConfig  # noqa: E402
 from repro.core.student import StudentModel  # noqa: E402
-from repro.infer import (  # noqa: E402
-    CompiledStudent,
-    ErrorBudget,
-    PrecisionError,
-    resolve_precision,
-)
+from repro.infer import CompiledStudent  # noqa: E402
 
 L, N, M = 32, 3, 8
 MAX_BATCH = 16
@@ -113,98 +106,3 @@ class TestShapePolymorphicProperties:
         assert stats["bindings"] <= 2
         assert stats["evictions"] == stats["misses"] - stats["bindings"]
         assert stats["rebuilds"] == 1
-
-    @given(data_seed=st.integers(0, 2**31 - 1))
-    def test_int8_outputs_stay_within_the_declared_budget(
-            self, student, data_seed):
-        budget = ErrorBudget()
-        exact = CompiledStudent(student, max_batch=4)
-        quantized = CompiledStudent(student, precision="int8",
-                                    error_budget=budget, max_batch=4)
-        x = np.random.default_rng(data_seed).standard_normal(
-            (4, L, N)).astype(np.float32)
-        reference = exact.predict(x).astype(np.float64)
-        served = quantized.predict(x).astype(np.float64)
-        scale = np.abs(reference).max()
-        # The compile-time gate checks the probe; accepted engines
-        # should honor the same envelope on arbitrary inputs (with the
-        # probe↔input slack folded into one extra budget multiple).
-        assert np.abs(served - reference).max() <= 2 * (
-            budget.max_abs + budget.max_rel * scale)
-
-
-class TestPrecisionContracts:
-    def test_mixed_mode_compiles_and_reports_probe_error(self, student):
-        engine = CompiledStudent(student, precision="mixed", max_batch=4)
-        assert engine.probe_report["precision"] == "mixed"
-        assert engine.probe_report["prediction_rel_error"] <= \
-            engine.error_budget.max_rel
-        x = np.random.default_rng(1).standard_normal(
-            (3, L, N)).astype(np.float32)
-        exact = CompiledStudent(student, max_batch=4).predict(x)
-        served = engine.predict(x)
-        np.testing.assert_allclose(served, exact, rtol=1e-3, atol=1e-3)
-
-    def test_int8_accepted_within_default_budget(self, student):
-        engine = CompiledStudent(student, precision="int8", max_batch=4)
-        report = engine.probe_report
-        assert report["precision"] == "int8"
-        assert report["modules"]  # every quantized projection audited
-        for name, error in report["modules"].items():
-            assert error <= engine.error_budget.budget_for(name)
-
-    def test_int8_rejected_when_module_budget_exceeded(self, student):
-        with pytest.raises(PrecisionError) as excinfo:
-            CompiledStudent(student, precision="int8", max_batch=4,
-                            error_budget=ErrorBudget(module_rel=1e-9))
-        assert "relative error budget" in str(excinfo.value)
-
-    def test_int8_rejected_when_prediction_budget_exceeded(self, student):
-        with pytest.raises(PrecisionError) as excinfo:
-            CompiledStudent(
-                student, precision="int8", max_batch=4,
-                error_budget=ErrorBudget(max_abs=0.0, max_rel=1e-9))
-        assert "probe prediction error" in str(excinfo.value)
-
-    def test_per_module_override_names_the_offender(self, student):
-        budget = ErrorBudget(overrides={"head": 1e-12})
-        with pytest.raises(PrecisionError) as excinfo:
-            CompiledStudent(student, precision="int8", max_batch=4,
-                            error_budget=budget)
-        assert "'head'" in str(excinfo.value)
-
-    def test_rejection_happens_at_compile_time_not_serve_time(
-            self, student):
-        # Lazy engine: the budget gate fires on the first predict (the
-        # compile), and the request that triggered it fails loudly —
-        # nothing is ever served from a rejected plan.
-        engine = CompiledStudent(student, precision="int8",
-                                 error_budget=ErrorBudget(module_rel=1e-9))
-        x = np.zeros((1, L, N), np.float32)
-        with pytest.raises(PrecisionError):
-            engine.predict(x)
-        assert engine.plan_stats()["bindings"] == 0
-
-    def test_int8_codebooks_are_4x_smaller_than_projections(self, student):
-        engine = CompiledStudent(student, precision="int8", max_batch=2)
-        assert 0 < engine.quantized_nbytes < engine.projection_nbytes / 3
-
-    def test_quantize_per_channel_error_bound(self):
-        from repro.nn import quantize_per_channel
-
-        w = np.random.default_rng(0).standard_normal(
-            (64, 32)).astype(np.float32)
-        codes, scales, dequantized = quantize_per_channel(w)
-        assert codes.dtype == np.int8
-        # Round-to-nearest: per-channel error is at most half a step.
-        assert (np.abs(w - dequantized) <= scales / 2 + 1e-7).all()
-
-    def test_resolve_precision_fails_fast(self):
-        assert resolve_precision("mixed") == "mixed"
-        with pytest.raises(ValueError, match="unknown engine precision"):
-            resolve_precision("bf16")
-
-    def test_float32_mode_reports_nothing(self, student):
-        engine = CompiledStudent(student, max_batch=2)
-        assert engine.probe_report == {}
-        assert engine.quantized_nbytes == 0

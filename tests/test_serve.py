@@ -350,9 +350,9 @@ class TestForecastService:
 
 
 class TestThreadedDrain:
-    """serve_threads > 1: concurrency across models, FIFO within one."""
+    """The one drain thread: FIFO per model, first pending model first."""
 
-    def _multi_bundle_windows(self, tmp_path, datasets=("A", "B", "C")):
+    def _multi_bundle_windows(self, tmp_path, datasets=("A", "B")):
         config = None
         for name in datasets:
             config, _ = make_bundle(
@@ -363,47 +363,39 @@ class TestThreadedDrain:
                                    config.num_variables)).astype(np.float32)
             for name in datasets}
 
-    def test_threaded_drain_matches_single_threaded_bitwise(self, tmp_path):
-        config, windows = self._multi_bundle_windows(tmp_path)
-        reference = {}
-        with ForecastService(str(tmp_path), engine="compiled") as service:
-            for name, batch in windows.items():
-                reference[name] = [service.predict(w, dataset=name)
-                                   for w in batch]
-        with ForecastService(str(tmp_path), engine="compiled",
-                             serve_threads=4) as service:
-            service.pause()  # queue all three models' requests, then drain
-            futures = {name: [service.submit(w, dataset=name)
-                              for w in batch]
-                       for name, batch in windows.items()}
-            service.resume()
-            for name, per_model in futures.items():
-                for future, expected in zip(per_model, reference[name]):
-                    np.testing.assert_array_equal(future.result(), expected)
-
     def test_threaded_drain_preserves_per_model_fifo(self, tmp_path):
-        config, windows = self._multi_bundle_windows(tmp_path,
-                                                     datasets=("A", "B"))
-        with ForecastService(str(tmp_path), serve_threads=2,
-                             max_batch=4) as service:
+        config, windows = self._multi_bundle_windows(tmp_path)
+        completed: list[tuple[str, int]] = []
+        with ForecastService(str(tmp_path), max_batch=4) as service:
             service.pause()
-            futures = [service.submit(w, dataset="A")
-                       for w in windows["A"]]
+            futures = {name: [] for name in windows}
+            for index in range(12):  # interleave the two models
+                for name in windows:
+                    future = service.submit(windows[name][index],
+                                            dataset=name)
+                    future.add_done_callback(
+                        lambda _, tag=(name, index): completed.append(tag))
+                    futures[name].append(future)
             service.resume()
-            results = [f.result() for f in futures]
-        # max_batch=4 splits 12 requests into 3 rounds; FIFO order means
-        # result i is the forecast of window i, not of a reordered one.
-        restored = TimeKDForecaster.from_artifact(
-            os.path.join(tmp_path, "a.npz"))
-        for window, result in zip(windows["A"], results):
-            np.testing.assert_array_equal(result,
-                                          restored.predict(window))
+            results = {name: [f.result() for f in per_model]
+                       for name, per_model in futures.items()}
+            assert service.snapshot().batches == 6
+        # max_batch=4 splits each model's 12 requests into 3 batches.  A
+        # was queued first, so its batches drain before any of B's, and
+        # within a model the requests complete in submission order.
+        assert completed == ([("A", i) for i in range(12)]
+                             + [("B", i) for i in range(12)])
+        for name in windows:
+            restored = TimeKDForecaster.from_artifact(
+                os.path.join(tmp_path, f"{name.lower()}.npz"))
+            for window, result in zip(windows[name], results[name]):
+                np.testing.assert_array_equal(
+                    result, restored.predict(window, engine="module"))
 
     def test_snapshot_aggregates_plan_cache_counters(self, tmp_path):
         config, _ = make_bundle(os.path.join(tmp_path, "m.npz"))
         rng = np.random.default_rng(5)
-        with ForecastService(str(tmp_path), engine="compiled",
-                             max_batch=8) as service:
+        with ForecastService(str(tmp_path), max_batch=8) as service:
             for batch in (1, 3, 1, 3, 8, 1):
                 ws = rng.normal(size=(batch, config.history_length,
                                       config.num_variables)).astype(
@@ -420,43 +412,6 @@ class TestThreadedDrain:
         assert stats["plan_misses"] == 3  # batch sizes {1, 3, 8}
         assert stats["plan_hits"] == 3
         assert stats["plan_evictions"] == 0
-
-    def test_module_engine_reports_zero_plan_activity(self, tmp_path):
-        config, _ = make_bundle(os.path.join(tmp_path, "m.npz"))
-        with ForecastService(str(tmp_path), engine="module") as service:
-            service.predict(np.zeros((config.history_length,
-                                      config.num_variables), np.float32))
-            stats = service.snapshot().as_dict()
-        assert stats["plan_rebuilds"] == 0
-        assert stats["plan_misses"] == 0
-
-    def test_int8_service_stays_within_budget_of_float32(self, tmp_path):
-        from repro.infer import ErrorBudget
-
-        config, _ = make_bundle(os.path.join(tmp_path, "m.npz"))
-        window = np.random.default_rng(9).normal(
-            size=(config.history_length,
-                  config.num_variables)).astype(np.float32)
-        with ForecastService(str(tmp_path), engine="compiled") as service:
-            exact = service.predict(window).astype(np.float64)
-        with ForecastService(str(tmp_path), engine="compiled",
-                             precision="int8") as service:
-            assert service.precision == "int8"
-            served = service.predict(window).astype(np.float64)
-        budget = ErrorBudget()
-        scale = np.abs(exact).max()
-        assert np.abs(served - exact).max() <= 2 * (
-            budget.max_abs + budget.max_rel * scale)
-
-    def test_invalid_engine_precision_combinations_fail_fast(self, tmp_path):
-        make_bundle(os.path.join(tmp_path, "m.npz"))
-        with pytest.raises(ValueError, match="unknown engine precision"):
-            ForecastService(str(tmp_path), precision="fp16")
-        with pytest.raises(ValueError, match="requires engine='compiled'"):
-            ForecastService(str(tmp_path), engine="module",
-                            precision="int8")
-        with pytest.raises(ValueError, match="serve_threads"):
-            ForecastService(str(tmp_path), serve_threads=0)
 
 
 class TestPressureGauges:

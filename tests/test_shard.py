@@ -55,17 +55,15 @@ def walk(rng) -> np.ndarray:
     return np.cumsum(rng.normal(size=(150, N)), axis=0)
 
 
-def make_sharded(bundle_dir, workers, engine="module", vnodes=DEFAULT_VNODES,
-                 **overrides):
-    router = ShardRouter(bundle_dir, workers=workers, vnodes=vnodes,
-                         engine=engine)
+def make_sharded(bundle_dir, workers, vnodes=DEFAULT_VNODES, **overrides):
+    router = ShardRouter(bundle_dir, workers=workers, vnodes=vnodes)
     options = dict(cadence=5, raw_values=True)
     options.update(overrides)
     return router, ShardedStreamingForecaster(router, "ETTm1", M, **options)
 
 
-def make_single(bundle_dir, engine="module", **overrides):
-    service = ForecastService(bundle_dir, engine=engine)
+def make_single(bundle_dir, **overrides):
+    service = ForecastService(bundle_dir)
     options = dict(cadence=5, raw_values=True)
     options.update(overrides)
     return service, StreamingForecaster(service, "ETTm1", M, **options)
@@ -247,16 +245,13 @@ class TestShardRouter:
 # sharded streaming parity
 # ----------------------------------------------------------------------
 class TestShardedReplayParity:
-    @pytest.mark.parametrize("engine", ["module", "compiled"])
-    def test_sharded_replay_is_bitwise_identical(self, bundle_dir, walk,
-                                                 engine):
+    def test_sharded_replay_is_bitwise_identical(self, bundle_dir, walk):
         keys = KEYS[:6]
-        service, single = make_single(bundle_dir, engine=engine)
+        service, single = make_single(bundle_dir)
         feed(single, walk, keys, ticks=60)
 
         for workers in (2, 4):
-            router, sharded = make_sharded(bundle_dir, workers,
-                                           engine=engine)
+            router, sharded = make_sharded(bundle_dir, workers)
             assert len({sharded.shard_for(key) for key in keys}) > 1
             feed(sharded, walk, keys, ticks=60)
             assert_same_universe(sharded, single)
