@@ -2,10 +2,10 @@
 
 The headline test kills a replay mid-stream at an arbitrary tick,
 recovers, finishes, and demands the merged forecasts be **bitwise
-identical** to an uninterrupted run.  The fault
-tests prove every stage fails closed: each injected fault lands the
-recoverer in ``failed`` with a specific ``failure_reason`` and never a
-partial import.
+identical** to an uninterrupted run and to the offline forward of each
+engine (module oracle and compiled).  The fault tests prove every stage
+fails closed: each injected fault lands the recoverer in ``failed``
+with a specific ``failure_reason`` and never a partial import.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import TimeKDConfig
+from repro.core import TimeKDConfig, TimeKDForecaster
 from repro.core.student import StudentModel
 from repro.data import StandardScaler
 from repro.serve import ForecastService, save_student_artifact
@@ -337,7 +337,9 @@ class TestStreamSnapshotter:
 # the headline: kill mid-stream, recover, finish — bitwise identical
 # ----------------------------------------------------------------------
 class TestKillRecoverParity:
-    def test_recovered_replay_is_bitwise_identical(self, bundle_dir, walk,
+    @pytest.mark.parametrize("engine", ["module", "compiled"])
+    def test_recovered_replay_is_bitwise_identical(self, engine,
+                                                   bundle_dir, walk,
                                                    tmp_path):
         kill_at = 73  # not a checkpoint multiple: WAL replay must kick in
         snapdir = str(tmp_path / "snaps")
@@ -373,6 +375,15 @@ class TestKillRecoverParity:
         for tick, forecast in uninterrupted.forecasts.items():
             assert merged[tick].tobytes() == forecast.tobytes(), (
                 f"forecast at tick {tick} diverged after recovery")
+        # the recovered stream also lands on the offline forward's bytes
+        offline = TimeKDForecaster.from_artifact(
+            os.path.join(bundle_dir, "m.npz"))
+        for tick, forecast in merged.items():
+            expected = offline.predict(walk[tick - L + 1: tick + 1],
+                                       raw_values=True, engine=engine)
+            assert forecast.tobytes() == expected.tobytes(), (
+                f"forecast at tick {tick} diverged from the offline "
+                f"{engine} forward")
 
     def test_wal_bootstrap_without_snapshot(self, bundle_dir, walk,
                                             tmp_path):

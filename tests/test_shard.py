@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import TimeKDForecaster
 from repro.durable import (
     RecoveryError,
     RecoveryStages,
@@ -37,7 +38,7 @@ from repro.shard import (
 )
 from repro.stream import StreamingForecaster, replay, verify_parity
 
-from test_durable import M, N, make_bundle
+from test_durable import L, M, N, make_bundle
 
 KEYS = [("tenant", f"s{index}") for index in range(40)]
 
@@ -245,10 +246,16 @@ class TestShardRouter:
 # sharded streaming parity
 # ----------------------------------------------------------------------
 class TestShardedReplayParity:
-    def test_sharded_replay_is_bitwise_identical(self, bundle_dir, walk):
+    @pytest.mark.parametrize("engine", ["module", "compiled"])
+    def test_sharded_replay_is_bitwise_identical(self, bundle_dir, walk,
+                                                 engine):
         keys = KEYS[:6]
         service, single = make_single(bundle_dir)
         feed(single, walk, keys, ticks=60)
+        offline = TimeKDForecaster.from_artifact(
+            os.path.join(bundle_dir, "m.npz"))
+        expected = offline.predict(walk[60 - L: 60], raw_values=True,
+                                   engine=engine)
 
         for workers in (2, 4):
             router, sharded = make_sharded(bundle_dir, workers)
@@ -257,6 +264,12 @@ class TestShardedReplayParity:
             assert_same_universe(sharded, single)
             assert merged_stream_counters(sharded) == \
                 merged_stream_counters(single)
+            # every shard forecasts the offline forward's bytes
+            for key in keys:
+                assert sharded.forecast(key).tobytes() == \
+                    expected.tobytes(), (
+                        f"{key} on {workers} workers diverged from the "
+                        f"offline {engine} forward")
             router.close()
         service.close()
 
