@@ -13,6 +13,7 @@ end-to-end forecast ticks/sec, and the mean coalesced batch size
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -33,6 +34,7 @@ DURABLE_SERIES = 256
 
 SCALE_SIZES = (1024, 4096, 16384)
 SCALE_WORKERS = (1, 2, 4)
+SCALE_INGEST_PASSES = 3
 P99_SAMPLE = 256
 
 
@@ -126,7 +128,8 @@ def test_durability_overhead(benchmark, tmp_path_factory):
     three on a fleet of ``DURABLE_SERIES`` warm series so regressions in
     the snapshot/recover path show up in the baseline gate.
     """
-    from repro.durable import StatefulRecoverer, StreamSnapshotter
+    from repro.durable import ShardedRecoverer, ShardedSnapshotter
+    from repro.shard import ShardRouter, ShardedStreamingForecaster
 
     artifact_dir = str(tmp_path_factory.mktemp("durable-bench"))
     snapshot_dir = str(tmp_path_factory.mktemp("durable-bench-snaps"))
@@ -138,11 +141,12 @@ def test_durability_overhead(benchmark, tmp_path_factory):
         size=(DURABLE_SERIES, history, config.num_variables)).cumsum(axis=1)
 
     def run() -> dict:
-        with ForecastService(artifact_dir, max_batch=64) as service:
+        # The default deployment: a 1-worker cluster.
+        with ShardRouter(artifact_dir, max_batch=64) as router:
             # cadence=0: no forecasts fire, so the tick loop isolates
             # ingestion + WAL framing cost rather than student forwards
-            forecaster = StreamingForecaster(service, cadence=0)
-            snapshotter = StreamSnapshotter(forecaster, snapshot_dir)
+            forecaster = ShardedStreamingForecaster(router, cadence=0)
+            snapshotter = ShardedSnapshotter(forecaster, snapshot_dir)
             for index in range(DURABLE_SERIES):
                 forecaster.append(("tenant", index), 0.0,
                                   streams[index, : history - 1])
@@ -153,14 +157,14 @@ def test_durability_overhead(benchmark, tmp_path_factory):
             wal_s = time.perf_counter() - start
 
             start = time.perf_counter()
-            snapshot_path = snapshotter.checkpoint()
+            (snapshot_path,) = snapshotter.checkpoint()
             snapshot_s = time.perf_counter() - start
             snapshot_bytes = os.path.getsize(snapshot_path)
             snapshotter.close()
 
-        with ForecastService(artifact_dir, max_batch=64) as service:
-            forecaster = StreamingForecaster(service, cadence=0)
-            recoverer = StatefulRecoverer()
+        with ShardRouter(artifact_dir, max_batch=64) as router:
+            forecaster = ShardedStreamingForecaster(router, cadence=0)
+            recoverer = ShardedRecoverer()
             start = time.perf_counter()
             state = recoverer.recover(snapshot_dir, forecaster)
             restore_s = time.perf_counter() - start
@@ -192,7 +196,13 @@ def test_scale_curve(benchmark, tmp_path_factory):
       time.  On this 1-CPU substrate shards are driven sequentially;
       the max-of-elapsed aggregate is exactly what concurrent
       shared-nothing workers would sustain, since nothing couples them.
-      Honest wall-clock numbers ride along for comparison.
+      Honest wall-clock numbers ride along for comparison.  An
+      N-worker aggregate is a max over N short intervals, so one
+      hiccup in any shard would set it: each shard's time is its
+      fastest of ``SCALE_INGEST_PASSES`` warm-start passes, timed with
+      the cyclic GC off as ``timeit`` does (driven in one process, a
+      full collection scans every shard's objects yet lands in one
+      shard's interval).
     * **p99 forecast latency** — synchronous append → result round
       trips on a key sample through the routed front end.
 
@@ -214,17 +224,28 @@ def test_scale_curve(benchmark, tmp_path_factory):
         keys = [("tenant", index) for index in range(size)]
         with ShardRouter(artifact_dir, workers=workers,
                          max_batch=64) as router:
-            sharded = ShardedStreamingForecaster(router, cadence=1)
             groups = router.ring.partition(keys)
 
-            # Warm-start ingest, timed per shard (no forecasts fire:
-            # each series stays one row short of a full window).
-            ingest_elapsed = {}
-            for shard, group in sorted(groups.items()):
-                start = time.perf_counter()
-                for key in group:
-                    sharded.append(key, 0.0, streams[key[1], : history - 1])
-                ingest_elapsed[shard] = time.perf_counter() - start
+            # Warm-start ingest into a fresh front end, timed per shard
+            # (no forecasts fire: each series stays one row short of a
+            # full window).  Every pass leaves the same state; the last
+            # pass's front end runs the phases below.
+            ingest_elapsed = dict.fromkeys(groups, float("inf"))
+            for _ in range(SCALE_INGEST_PASSES):
+                sharded = ShardedStreamingForecaster(router, cadence=1)
+                gc.collect()
+                gc.disable()
+                try:
+                    for shard, group in sorted(groups.items()):
+                        start = time.perf_counter()
+                        for key in group:
+                            sharded.append(key, 0.0,
+                                           streams[key[1], : history - 1])
+                        ingest_elapsed[shard] = min(
+                            ingest_elapsed[shard],
+                            time.perf_counter() - start)
+                finally:
+                    gc.enable()
             ingest_ticks = size * (history - 1)
             wall_s = sum(ingest_elapsed.values())
             slowest_s = max(ingest_elapsed.values())

@@ -25,21 +25,26 @@ ever constructing a trainer or pretraining a CLM, and all of them run
 the tape-free :mod:`repro.infer` forward — bitwise identical to
 ``StudentModel.predict`` and several times faster per window.
 
-``stream`` can persist its online state: ``--snapshot-dir`` keeps
-versioned snapshots plus a per-tick WAL (``--snapshot-every N``
-checkpoints periodically, graceful shutdown and completion write a
-final one), and ``--resume`` recovers from them — forecasts after a
-kill/resume are bitwise identical to an uninterrupted run.
+``serve``, ``stream`` and ``gateway`` run one topology: ``--workers
+N`` (default 1) shared-nothing shard workers (each with its own model
+registry, micro-batch queue and drain thread) behind a deterministic
+consistent-hash router (``--shard-vnodes`` tunes ring balance when
+N > 1).  Sharding never changes a forecast — an N-worker replay is
+bitwise identical to the 1-worker run, so ``--verify`` holds at any
+worker count.
 
-``serve`` and ``stream`` scale out horizontally with ``--workers N``:
-N shared-nothing shard workers (each with its own model registry,
-micro-batch queue and drain thread) behind a deterministic
-consistent-hash router (``--shard-vnodes`` tunes ring balance).
-Sharding never changes a forecast — an N-worker replay is bitwise
-identical to the single-process run, so ``--verify`` holds at any
-worker count — and with ``--snapshot-dir`` each shard keeps its own
-``snapshot-{shard}-{seq}.npz``/WAL chain; ``--resume`` under a
-different ``--workers`` reshards the recovered state through the ring.
+``stream`` can persist its online state: ``--snapshot-dir`` keeps one
+chain per shard — ``snapshot-{shard}-{seq}.npz`` plus the
+``wal-{shard}-{seq}.log`` per-tick WAL after it (``--snapshot-every
+N`` checkpoints periodically, graceful shutdown and completion write
+a final one) — and ``--resume`` recovers from them: forecasts after a
+kill/resume are bitwise identical to an uninterrupted run.  A
+directory that already holds chains is refused without ``--resume``.
+``--resume`` under a different ``--workers`` reshards the recovered
+state through the ring, and so does the first ``--resume`` over an
+unlabeled ``snapshot-{seq}`` chain an older single-process run wrote;
+both then re-anchor the directory on the new ring and prune the
+superseded files.
 
 ``gateway`` fronts the same serving stack with a multi-tenant HTTP
 server (see :mod:`repro.gateway`): API keys from a hot-reloadable
@@ -147,14 +152,13 @@ def _positive_float(flag: str):
 
 
 def _add_shard(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", default=None, metavar="N",
+    parser.add_argument("--workers", default=1, metavar="N",
                         type=_positive_int("--workers"),
-                        help="run the sharded runtime: N shared-nothing "
-                             "workers (each with its own model registry, "
-                             "micro-batch queue and drain thread) behind a "
-                             "consistent-hash router; forecasts are bitwise "
-                             "identical at any worker count (default: the "
-                             "single-process path)")
+                        help="N shared-nothing shard workers (each with "
+                             "its own model registry, micro-batch queue "
+                             "and drain thread) behind a consistent-hash "
+                             "router; forecasts are bitwise identical at "
+                             "any worker count (default 1)")
     parser.add_argument("--shard-vnodes", default=None, metavar="V",
                         type=_positive_int("--shard-vnodes"),
                         help="virtual nodes per shard on the hash ring "
@@ -176,33 +180,19 @@ def _check_stream_flags(parser: argparse.ArgumentParser, args) -> None:
 
 def _check_shard_flags(parser: argparse.ArgumentParser, args) -> None:
     """Ring-shape flags only mean something with multiple shards."""
-    if getattr(args, "shard_vnodes", None) is not None:
-        workers = getattr(args, "workers", None)
-        if workers is None or workers < 2:
-            parser.error(
-                "--shard-vnodes requires --workers > 1 (the ring shape "
-                "only matters when keys split across shards)")
+    if getattr(args, "shard_vnodes", None) is not None and args.workers < 2:
+        parser.error(
+            "--shard-vnodes requires --workers > 1 (the ring shape "
+            "only matters when keys split across shards)")
 
 
 def _make_service(args):
-    """The serving backend ``--workers`` selects.
-
-    Default (no ``--workers``): the single-process
-    :class:`ForecastService` — the legacy path, byte-for-byte.  With
-    ``--workers N``: a :class:`repro.shard.ShardRouter` over N
-    shared-nothing workers (``--workers 1`` exercises the routed path
-    with a degenerate one-shard ring).
-    """
-    from .serve import ForecastService
-
-    kwargs = dict(max_models=args.max_models, max_batch=args.max_batch)
-    if args.workers is None:
-        return ForecastService(args.artifacts, **kwargs)
+    """A :class:`repro.shard.ShardRouter` over ``--workers`` shards."""
     from .shard import DEFAULT_VNODES, ShardRouter
 
     return ShardRouter(args.artifacts, workers=args.workers,
                        vnodes=args.shard_vnodes or DEFAULT_VNODES,
-                       **kwargs)
+                       max_models=args.max_models, max_batch=args.max_batch)
 
 
 def _scale(args) -> ExperimentScale:
@@ -394,10 +384,8 @@ def _cmd_serve(args) -> int:
                 args.stats_out, lambda: service.snapshot().as_dict(),
                 drain_actions)
         keys = service.keys()
-        sharded = (f" [{args.workers} shard worker(s)]"
-                   if args.workers is not None else "")
-        print(f"serving {len(keys)} artifact(s) from {args.artifacts}"
-              f"{sharded}: {sorted(keys)}")
+        print(f"serving {len(keys)} artifact(s) from {args.artifacts} "
+              f"[{args.workers} shard worker(s)]: {sorted(keys)}")
         key = service.resolve_key(args.dataset, args.horizon)
         if args.input:
             windows = np.load(args.input)
@@ -444,7 +432,22 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    from .stream import StreamingForecaster, replay, verify_parity
+    from .durable import (RecoveryError, ShardedRecoverer,
+                          ShardedSnapshotter, chain_files)
+    from .shard import ShardedStreamingForecaster
+    from .stream import replay, verify_parity
+
+    if args.snapshot_dir and not args.resume:
+        existing = chain_files(args.snapshot_dir)
+        if existing:
+            # A fresh run would log seq 1.. into the earlier run's live
+            # WAL segment; the next recovery then hits a WAL gap and
+            # loses the earlier run's durable ticks too.
+            print(f"--snapshot-dir {args.snapshot_dir!r} already holds "
+                  f"{len(existing)} snapshot/WAL file(s); pass --resume "
+                  f"to continue that run, or choose an empty directory",
+                  file=sys.stderr)
+            return 1
 
     drain_actions: list = []
     with _make_service(args) as service, \
@@ -459,19 +462,12 @@ def _cmd_stream(args) -> int:
         if args.raw:
             segment = data.scaler.inverse_transform(segment)
 
-        stream_options = dict(
-            cadence=args.cadence, policy=args.policy,
-            interval=float(data.frequency_minutes), raw_values=args.raw)
-        if args.workers is not None:
-            from .shard import ShardedStreamingForecaster
-
-            forecaster = ShardedStreamingForecaster(
-                service, dataset=key[0], horizon=key[1], **stream_options)
-            print(f"sharded streaming: {args.workers} worker(s), "
-                  f"{service.ring.vnodes} vnodes/shard")
-        else:
-            forecaster = StreamingForecaster(
-                service, dataset=key[0], horizon=key[1], **stream_options)
+        forecaster = ShardedStreamingForecaster(
+            service, dataset=key[0], horizon=key[1], cadence=args.cadence,
+            policy=args.policy, interval=float(data.frequency_minutes),
+            raw_values=args.raw)
+        print(f"sharded streaming: {args.workers} worker(s), "
+              f"{service.ring.vnodes} vnodes/shard")
 
         write_stats = None
         if args.stats_out:
@@ -483,14 +479,7 @@ def _cmd_stream(args) -> int:
                 args.stats_out, _collect, drain_actions)
 
         if args.resume:
-            from .durable import RecoveryError
-
-            if args.workers is not None:
-                from .durable import ShardedRecoverer
-                recoverer = ShardedRecoverer()
-            else:
-                from .durable import StatefulRecoverer
-                recoverer = StatefulRecoverer()
+            recoverer = ShardedRecoverer()
             try:
                 # Torn trailing WAL record = an un-fsynced crash's
                 # signature; --resume trims it (that tick was never
@@ -504,40 +493,29 @@ def _cmd_stream(args) -> int:
                       file=sys.stderr)
                 return 1
             detail = recovered.detail
-            if args.workers is not None:
-                origin = (f"{detail['source_shards']} shard chain(s)"
-                          + (" [resharded]" if detail["resharded"] else ""))
-            else:
-                origin = detail.get("snapshot_path") or "WAL bootstrap"
+            origin = (f"{detail['source_shards']} shard chain(s)"
+                      + (" [resharded]" if detail["resharded"] else ""))
             print(f"recovered {detail['keys']} series at seq "
                   f"{detail['final_seq']} from {origin} "
                   f"(+{detail['replayed']} WAL tick(s) replayed)")
 
         snapshotter = None
         if args.snapshot_dir:
-            if args.workers is not None:
-                from .durable import ShardedSnapshotter
-
-                snapshotter = ShardedSnapshotter(
-                    forecaster, args.snapshot_dir,
-                    every=args.snapshot_every, wal=not args.no_wal)
-                if args.resume and recovered.detail.get("resharded"):
-                    # Re-anchor the directory on the new ring: write
-                    # every target shard's chain first (until then the
-                    # old chains are the only durable copy), then drop
-                    # the superseded labels a later --resume would
-                    # otherwise merge back in as stale state.
-                    snapshotter.checkpoint()
-                    pruned = snapshotter.prune_foreign()
-                    if pruned:
-                        print(f"pruned {len(pruned)} superseded chain "
-                              f"file(s) from the previous shard layout")
-            else:
-                from .durable import StreamSnapshotter
-
-                snapshotter = StreamSnapshotter(
-                    forecaster, args.snapshot_dir,
-                    every=args.snapshot_every, wal=not args.no_wal)
+            snapshotter = ShardedSnapshotter(
+                forecaster, args.snapshot_dir,
+                every=args.snapshot_every, wal=not args.no_wal)
+            if args.resume and recovered.detail["resharded"]:
+                # Re-anchor the directory on the new ring: write every
+                # target shard's chain first (until then the old chains
+                # are the only durable copy), then drop the superseded
+                # labels — a shrink's orphans or a legacy unlabeled
+                # chain — a later --resume would otherwise merge back
+                # in as stale state.
+                snapshotter.checkpoint()
+                pruned = snapshotter.prune_foreign()
+                if pruned:
+                    print(f"pruned {len(pruned)} superseded chain "
+                          f"file(s) from the previous shard layout")
             drain_actions.append(snapshotter.checkpoint)
 
         reports = []
@@ -559,14 +537,10 @@ def _cmd_stream(args) -> int:
         stream, serve = snapshot["stream"], snapshot["service"]
 
         if snapshotter is not None:
-            final_path = snapshotter.checkpoint()
+            final_paths = snapshotter.checkpoint()
             snapshotter.close()
             drain_actions.clear()
-            if isinstance(final_path, list):  # one snapshot per shard
-                print(f"final snapshots written: "
-                      f"{', '.join(final_path)}")
-            else:
-                print(f"final snapshot written to {final_path}")
+            print(f"final snapshots written: {', '.join(final_paths)}")
 
         compared = None
         if args.verify:
@@ -641,13 +615,11 @@ def _cmd_gateway(args) -> int:
 
         server = GatewayServer(gateway, host=args.host, port=args.port)
         keys = service.keys()
-        sharded = (f" [{args.workers} shard worker(s)]"
-                   if args.workers is not None else "")
         print(f"gateway listening on {server.url} — {len(keys)} "
               f"artifact(s) from {args.artifacts}, "
               f"{len(registry.keys())} API key(s), quota {args.quota} "
-              f"unit(s), admission bound {args.max_pending}{sharded}",
-              flush=True)
+              f"unit(s), admission bound {args.max_pending} "
+              f"[{args.workers} shard worker(s)]", flush=True)
         try:
             # Runs until SIGINT/SIGTERM raises SystemExit out of the
             # accept loop.  The drain then unwinds inside-out: stop
@@ -814,11 +786,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="dump replay + service stats as JSON "
                              "(written atomically)")
     stream.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                        help="durable state directory: snapshots "
-                             "(snapshot-{seq}.npz; snapshot-{shard}-{seq} "
-                             "per worker under --workers) plus a per-tick "
-                             "WAL; graceful shutdown and normal completion "
-                             "both write a final snapshot")
+                        help="durable state directory: one chain per "
+                             "shard worker (snapshot-{shard}-{seq}.npz "
+                             "plus a per-tick WAL); graceful shutdown and "
+                             "normal completion both write a final "
+                             "snapshot; a directory holding an earlier "
+                             "run's chains requires --resume")
     stream.add_argument("--snapshot-every", type=int, default=0,
                         metavar="N",
                         help="checkpoint every N accepted ticks "
@@ -826,9 +799,9 @@ def main(argv: list[str] | None = None) -> int:
                              "requires --snapshot-dir)")
     stream.add_argument("--resume", action="store_true",
                         help="recover state from --snapshot-dir before "
-                             "replaying (latest snapshot + WAL replay), "
-                             "then continue each series where it left "
-                             "off")
+                             "replaying (latest snapshot + WAL replay per "
+                             "shard), then continue each series where it "
+                             "left off")
     stream.add_argument("--no-wal", action="store_true",
                         help="disable the append-only tick WAL; crash "
                              "recovery then loses ticks after the last "

@@ -6,23 +6,28 @@ process memory; this package makes that universe survive a crash
 without bending the repo's bitwise replay-parity guarantee:
 
 * :mod:`~repro.durable.snapshot` — versioned, sha256-digested ``.npz``
-  snapshots of the full :class:`~repro.stream.StreamingForecaster`
+  snapshots of one shard's :class:`~repro.stream.StreamingForecaster`
   state, written atomically; :class:`StreamSnapshotter` adds on-demand
-  and every-N-ticks checkpoint policies.
+  and every-N-ticks checkpoint policies for that shard.
 * :mod:`~repro.durable.wal` — an append-only tick log covering the
   ticks between checkpoints (write-behind, CRC-framed, torn-tail
-  aware).
-* :mod:`~repro.durable.recover` — :class:`StatefulRecoverer`, staged
+  aware), and the one file-naming scheme: every file written is
+  ``snapshot-{shard}-{seq}.npz`` or ``wal-{shard}-{seq}.log``.
+* :mod:`~repro.durable.shard` — the snapshotter and the recoverer of
+  a deployment (:mod:`repro.shard`, one worker by default):
+  :class:`ShardedSnapshotter` keeps one chain per shard (a snapshot
+  plus the WAL segments after it) and :class:`ShardedRecoverer`
+  restores the universe with staged
   ``inactive → reading → verifying → importing → succeeded/failed``
-  recovery that verifies everything before touching live state and
-  clears everything on a partial import (fail closed, never partial).
+  recovery that verifies every chain before touching live state,
+  clears everything on a partial import (fail closed, never partial)
+  and reshards ``N → M`` through the target hash ring.  Unlabeled
+  chains from older single-process runs are read that way too, never
+  written.
+* :mod:`~repro.durable.recover` — the stage types and the per-chain
+  reading and verifying steps.
 * :mod:`~repro.durable.faults` — deterministic fault injection (crash
   points + seeded file corrupters) used to prove the above.
-* :mod:`~repro.durable.shard` — per-shard snapshot/WAL chains
-  (``snapshot-{shard}-{seq}.npz``) for the sharded runtime
-  (:mod:`repro.shard`), plus :class:`ShardedRecoverer` which restores
-  an N-shard universe fail-closed and reshards ``N → M`` by routing
-  recovered state through the target hash ring.
 
 Recovered forecasts are bitwise identical to an uninterrupted run: a
 replay killed at an arbitrary tick, recovered and finished produces
@@ -48,7 +53,6 @@ from .recover import (
     RecoveryError,
     RecoveryStages,
     RecoveryState,
-    StatefulRecoverer,
     locate_chain,
     verify_chain,
 )
@@ -60,7 +64,6 @@ from .snapshot import (
     latest_snapshot,
     load_snapshot_arrays,
     snapshot_paths,
-    snapshot_shards,
     state_from_arrays,
     verify_snapshot,
     write_snapshot,
@@ -69,9 +72,10 @@ from .wal import (
     TickWAL,
     TornWALError,
     WALError,
+    chain_files,
+    chain_labels,
     read_wal,
     wal_paths,
-    wal_shards,
 )
 
 __all__ = [
@@ -92,7 +96,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryStages",
     "RecoveryState",
-    "StatefulRecoverer",
     "locate_chain",
     "verify_chain",
     "ShardedRecoverer",
@@ -103,14 +106,14 @@ __all__ = [
     "latest_snapshot",
     "load_snapshot_arrays",
     "snapshot_paths",
-    "snapshot_shards",
     "state_from_arrays",
     "verify_snapshot",
     "write_snapshot",
     "TickWAL",
     "TornWALError",
     "WALError",
+    "chain_files",
+    "chain_labels",
     "read_wal",
     "wal_paths",
-    "wal_shards",
 ]

@@ -16,7 +16,7 @@ Two families of faults, both seed-driven and reproducible:
   record cut mid-frame, as an un-fsynced crash leaves it).
 
 Tests use these to prove every recovery stage *fails closed*: a damaged
-artifact must land the :class:`~repro.durable.recover.StatefulRecoverer`
+artifact must land the :class:`~repro.durable.shard.ShardedRecoverer`
 in ``FAILED`` with a specific ``failure_reason`` — never a partial
 import.
 """

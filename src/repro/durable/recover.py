@@ -1,13 +1,17 @@
-"""Staged, fail-closed recovery of a streaming forecaster.
+"""Stages and per-chain verification for fail-closed recovery.
 
-:class:`StatefulRecoverer` walks explicit stages::
+:class:`~repro.durable.shard.ShardedRecoverer` walks explicit stages::
 
     inactive → reading → verifying → importing → succeeded
                                    ↘ failed (with failure_reason)
 
-modeled on the ZKAPAuthorizer ``StatefulRecoverer`` pattern: the stage
+modeled on ZKAPAuthorizer's stateful recoverer pattern: the stage
 and an inspectable ``failure_reason`` are first-class state an operator
 (or the ``stream --resume`` CLI) can query, not buried in a traceback.
+This module holds the stage types and the two per-chain steps the
+recoverer runs for every shard — :func:`locate_chain` (reading) and
+:func:`verify_chain` (verifying); a chain is one snapshot plus the WAL
+segments after it.
 
 The contract is *all or nothing*.  Verification — format version,
 sha256 digest, config identity, artifact weight digest, WAL chain
@@ -21,7 +25,6 @@ guarantee, which is strictly worse than an empty one.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 
 from .snapshot import (
@@ -31,7 +34,6 @@ from .snapshot import (
     state_from_arrays,
     verify_snapshot,
 )
-from .faults import crashpoint
 from .wal import TornWALError, WALError, read_wal, wal_paths
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryStages",
     "RecoveryState",
-    "StatefulRecoverer",
     "locate_chain",
     "verify_chain",
 ]
@@ -72,7 +73,7 @@ class RecoveryState:
 
 
 class RecoveryError(RuntimeError):
-    """Raised by :meth:`StreamingForecaster.restore_from` on failure.
+    """Raised by :meth:`ShardedStreamingForecaster.restore_from` on failure.
 
     Carries the final :class:`RecoveryState` as ``state``.
     """
@@ -97,27 +98,19 @@ class ChainVerificationError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# chain reading + verification (shared by single and sharded recovery)
+# chain reading + verification (run once per shard label)
 # ----------------------------------------------------------------------
-def locate_chain(source: str, *, shard: int | None = None,
+def locate_chain(directory: str, *, shard: int | None = 0,
                  replay_wal: bool = True):
-    """Find one shard's snapshot chain → ``(directory, path, arrays)``.
+    """Find one shard's newest snapshot → ``(path, arrays)``.
 
-    ``source`` may be a snapshot file or a directory (the shard's
-    newest snapshot is used; with none present but a WAL chain
-    available and ``replay_wal`` set, ``(directory, None, None)`` is
-    returned for a WAL-only bootstrap).  This is the recoverer's
-    *reading* stage: failures raise :class:`ChainVerificationError`.
+    With no snapshot present but a WAL chain available and
+    ``replay_wal`` set, ``(None, None)`` is returned for a WAL-only
+    bootstrap.  ``shard=None`` reads a legacy unlabeled chain.  This
+    is the recoverer's *reading* stage: failures raise
+    :class:`ChainVerificationError`.
     """
-    if os.path.isdir(source):
-        directory = source
-        snapshot_path = latest_snapshot(directory, shard=shard)
-    else:
-        directory = os.path.dirname(os.path.abspath(source))
-        snapshot_path = source
-        if not os.path.exists(snapshot_path):
-            raise ChainVerificationError(
-                f"no snapshot found at {snapshot_path!r}")
+    snapshot_path = latest_snapshot(directory, shard=shard)
     arrays = None
     if snapshot_path is not None:
         try:
@@ -127,11 +120,11 @@ def locate_chain(source: str, *, shard: int | None = None,
                 str(error), snapshot_path=snapshot_path) from error
     elif not replay_wal or not wal_paths(directory, 0, shard=shard):
         raise ChainVerificationError(f"no snapshot found in {directory!r}")
-    return directory, snapshot_path, arrays
+    return snapshot_path, arrays
 
 
 def verify_chain(directory: str, snapshot_path, arrays, forecaster, *,
-                 shard: int | None = None, replay_wal: bool = True,
+                 shard: int | None = 0, replay_wal: bool = True,
                  strict_wal: bool = True):
     """Verify one chain end to end → ``(state, records, snapshot_seq)``.
 
@@ -231,95 +224,3 @@ def _artifact_mismatch(stored_digest, forecaster) -> str | None:
                 "against different student weights than this "
                 "service is serving")
     return None
-
-
-class StatefulRecoverer:
-    """Run recovery with inspectable stages and fail-closed semantics."""
-
-    def __init__(self):
-        self._state = RecoveryState()
-        #: Every stage entered, in order (for assertions and debugging).
-        self.history: list[RecoveryStages] = [RecoveryStages.INACTIVE]
-
-    def state(self) -> RecoveryState:
-        return self._state
-
-    def _enter(self, stage: RecoveryStages) -> None:
-        self._state = RecoveryState(stage=stage, detail=self._state.detail)
-        self.history.append(stage)
-
-    def _fail(self, reason: str, **detail) -> RecoveryState:
-        merged = dict(self._state.detail)
-        merged.update(detail)
-        self._state = RecoveryState(stage=RecoveryStages.FAILED,
-                                    failure_reason=reason, detail=merged)
-        self.history.append(RecoveryStages.FAILED)
-        return self._state
-
-    def _succeed(self, **detail) -> RecoveryState:
-        merged = dict(self._state.detail)
-        merged.update(detail)
-        self._state = RecoveryState(stage=RecoveryStages.SUCCEEDED,
-                                    detail=merged)
-        self.history.append(RecoveryStages.SUCCEEDED)
-        return self._state
-
-    # ------------------------------------------------------------------
-    # the recovery pipeline
-    # ------------------------------------------------------------------
-    def recover(self, source: str, forecaster, *, replay_wal: bool = True,
-                strict_wal: bool = True) -> RecoveryState:
-        """Restore ``forecaster`` from ``source`` (snapshot or directory).
-
-        ``source`` may be a snapshot file or a snapshot directory (the
-        newest ``snapshot-{seq}.npz`` is used; with none present but a
-        seq-0 WAL chain available, recovery bootstraps from empty state
-        by replaying the log).  With ``replay_wal`` the WAL chain after
-        the snapshot is replayed tick-by-tick.  ``strict_wal=True``
-        treats a torn trailing record as fatal; ``False`` trims it —
-        the torn tick was never durable, which is exactly the crash
-        semantics of an un-fsynced append.
-
-        Never raises for recovery failures — returns the final
-        :class:`RecoveryState` (``failed`` carries ``failure_reason``).
-        """
-        # ---- reading ------------------------------------------------
-        self._enter(RecoveryStages.READING)
-        try:
-            directory, snapshot_path, arrays = locate_chain(
-                source, replay_wal=replay_wal)
-        except ChainVerificationError as error:
-            return self._fail(error.reason, **error.detail)
-
-        # ---- verifying ----------------------------------------------
-        self._enter(RecoveryStages.VERIFYING)
-        try:
-            state, records, snapshot_seq = verify_chain(
-                directory, snapshot_path, arrays, forecaster,
-                replay_wal=replay_wal, strict_wal=strict_wal)
-        except ChainVerificationError as error:
-            return self._fail(error.reason, **error.detail)
-
-        # ---- importing ----------------------------------------------
-        self._enter(RecoveryStages.IMPORTING)
-        try:
-            crashpoint("recover.import")
-            if state is not None:
-                forecaster.import_state(state)
-                forecaster.service.restore_stats(state["service_stats"])
-            else:
-                forecaster.clear()
-            for record in records:
-                crashpoint("recover.replay")
-                forecaster.append(record["key"], record["timestamp"],
-                                  record["values"])
-        except Exception as error:  # noqa: BLE001 — fail closed
-            forecaster.clear()
-            return self._fail(
-                f"import failed ({error}); streaming state cleared — "
-                f"a partial restore would break replay parity")
-
-        return self._succeed(
-            snapshot_path=snapshot_path, snapshot_seq=snapshot_seq,
-            replayed=len(records), final_seq=forecaster.seq,
-            keys=len(forecaster.keys()))

@@ -1,29 +1,31 @@
-"""Per-shard durability: shard-labeled chains + resharding recovery.
+"""The snapshotter and the recoverer of a streaming cluster.
 
-Each shard of a :class:`~repro.shard.stream.ShardedStreamingForecaster`
-checkpoints independently — ``snapshot-{shard}-{seq}.npz`` plus
-``wal-{shard}-{seq}.log`` chains in one shared directory, written by
-one :class:`~repro.durable.snapshot.StreamSnapshotter` per shard
-(:class:`ShardedSnapshotter` below is the attach-all convenience).
-Because every key lives on exactly one shard, the chains are disjoint
-and a shard never waits on another to checkpoint.
+Every deployment is a :class:`~repro.shard.stream.ShardedStreamingForecaster`
+(one worker by default), and each of its shards checkpoints
+independently — a chain of ``snapshot-{shard}-{seq}.npz`` plus the
+``wal-{shard}-{seq}.log`` segments after it, in one shared directory,
+written by one :class:`~repro.durable.snapshot.StreamSnapshotter` per
+shard (:class:`ShardedSnapshotter` attaches them all).  Because every
+key lives on exactly one shard, the chains are disjoint and a shard
+never waits on another to checkpoint.
 
-:class:`ShardedRecoverer` restores the whole N-shard universe with the
-same staged, fail-closed contract as the single-process
-:class:`~repro.durable.recover.StatefulRecoverer`: every source chain
-is read and verified *before* any live state is touched, and any
-failure once importing began clears **all** target shards — half a
-cluster would silently break replay parity, which is strictly worse
-than an empty one.
+:class:`ShardedRecoverer` restores the whole N-shard universe with a
+staged, fail-closed contract (:mod:`repro.durable.recover`): every
+source chain is read and verified *before* any live state is touched,
+and any failure once importing began clears **all** target shards —
+half a cluster would silently break replay parity, which is strictly
+worse than an empty one.
 
 Resharding ``N → M`` falls out of the routing: when the source shard
 labels do not match the target ring — or any recovered key now hashes
 to a different shard — the recoverer routes every verified entry
 through the target ring instead of importing chains one-to-one, then
 replays all WAL ticks through the sharded front end (each tick lands
-on its new owner).  Legacy unlabeled ``snapshot-{seq}.npz`` chains are
-treated as source shard ``None``, so a single-process run reshards
-onto any ring the same way.
+on its new owner).  Legacy unlabeled ``snapshot-{seq}.npz`` chains,
+which older single-process runs wrote, are read as source shard
+``None`` and so always take this path; the CLI's re-anchor
+(``checkpoint`` then :meth:`ShardedSnapshotter.prune_foreign`) then
+removes them.
 """
 
 from __future__ import annotations
@@ -36,14 +38,16 @@ from .recover import (
     RecoveryStages,
     RecoveryState,
 )
-from .snapshot import StreamSnapshotter, snapshot_shards
-from .wal import wal_shards
+from .snapshot import StreamSnapshotter
+from .wal import chain_files, chain_labels
 
 __all__ = ["ShardedSnapshotter", "ShardedRecoverer"]
 
 
 class ShardedSnapshotter:
     """One :class:`StreamSnapshotter` per shard, attached together.
+
+    The only snapshotter: a 1-worker cluster writes shard 0's chain.
 
     Forwards the constructor knobs (``every``/``wal``/``fsync``/
     ``keep``) verbatim to each per-shard snapshotter; shard ``i``'s
@@ -84,22 +88,11 @@ class ShardedSnapshotter:
 
         Returns the removed paths.
         """
-        from .wal import parse_shard_stem
-
         owned = {snapshotter.shard for snapshotter in self.snapshotters}
-        removed = []
-        for name in sorted(os.listdir(self.directory)):
-            for prefix, suffix in (("snapshot-", ".npz"),
-                                   ("wal-", ".log")):
-                if not (name.startswith(prefix) and name.endswith(suffix)):
-                    continue
-                parsed = parse_shard_stem(
-                    name[len(prefix):-len(suffix)])
-                if parsed is None or parsed[0] in owned:
-                    continue
-                path = os.path.join(self.directory, name)
-                os.unlink(path)
-                removed.append(path)
+        removed = sorted(path for _, shard, _, path
+                         in chain_files(self.directory) if shard not in owned)
+        for path in removed:
+            os.unlink(path)
         return removed
 
     def close(self) -> None:
@@ -114,7 +107,7 @@ class ShardedSnapshotter:
 
 
 def _chain_label(shard) -> str:
-    return "unsharded chain" if shard is None else f"shard {shard}"
+    return "legacy unlabeled chain" if shard is None else f"shard {shard}"
 
 
 def _sum_service_stats(states: list[dict]) -> dict:
@@ -137,10 +130,10 @@ def _sum_stream_stats(states: list[dict]) -> dict:
 class ShardedRecoverer:
     """Staged, fail-closed recovery of an N-shard streaming universe.
 
-    The stage machine is the single-process one
-    (:class:`~repro.durable.recover.RecoveryStages`); ``detail`` gains
-    a per-source-shard breakdown plus ``resharded`` — whether entries
-    were re-routed through the target ring instead of imported
+    The only recoverer: a 1-worker cluster is ``1 → 1`` recovery.  It
+    walks :class:`~repro.durable.recover.RecoveryStages`; ``detail``
+    carries a per-source-shard breakdown plus ``resharded`` — whether
+    entries were re-routed through the target ring instead of imported
     chain-for-chain.
     """
 
@@ -180,22 +173,25 @@ class ShardedRecoverer:
 
         Source shards are discovered from the file labels (snapshots
         and WALs); the target shard count is whatever ``sharded`` runs
-        — they need not match.  Never raises for recovery failures;
-        returns the final :class:`RecoveryState`.
+        — they need not match.  With ``replay_wal`` each chain's WAL
+        segments after its snapshot are replayed tick by tick.
+        ``strict_wal=True`` treats a torn trailing record as fatal;
+        ``False`` trims it — the torn tick was never durable, which is
+        exactly the crash semantics of an un-fsynced append.  Never
+        raises for recovery failures; returns the final
+        :class:`RecoveryState` (``failed`` carries ``failure_reason``).
         """
         from .recover import locate_chain, verify_chain
 
         # ---- reading ------------------------------------------------
         self._enter(RecoveryStages.READING)
-        labels = sorted(
-            set(snapshot_shards(directory)) | set(wal_shards(directory)),
-            key=lambda label: (label is not None, label or 0))
+        labels = chain_labels(directory)
         if not labels:
             return self._fail(f"no snapshot found in {directory!r}")
         chains: dict = {}
         for label in labels:
             try:
-                _, snapshot_path, arrays = locate_chain(
+                snapshot_path, arrays = locate_chain(
                     directory, shard=label, replay_wal=replay_wal)
             except ChainVerificationError as error:
                 return self._fail(

@@ -34,7 +34,7 @@ from ..nn.serialization import load_arrays, save_arrays
 from ..persist import arrays_digest
 from .faults import crashpoint
 from .keys import decode_key, encode_key
-from .wal import TickWAL, parse_shard_stem
+from .wal import TickWAL, chain_files, chain_path, wal_paths
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -43,7 +43,6 @@ __all__ = [
     "latest_snapshot",
     "load_snapshot_arrays",
     "snapshot_paths",
-    "snapshot_shards",
     "state_from_arrays",
     "verify_snapshot",
     "write_snapshot",
@@ -72,9 +71,9 @@ def write_snapshot(path: str, state: dict, *, artifact_digest=None,
     ``state`` is :meth:`StreamingForecaster.export_state` output;
     ``artifact_digest`` stamps the served weights so recovery refuses
     to import into a process serving different ones, and ``shard``
-    records which shard of a sharded runtime produced the state (None
-    for a single-process run).  Returns the written path (``.npz``
-    appended when missing).
+    records which shard produced the state (``None`` in snapshots
+    older single-process runs wrote).  Returns the written path
+    (``.npz`` appended when missing).
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
@@ -233,43 +232,15 @@ def state_from_arrays(arrays: dict, config: dict, meta: dict) -> dict:
 # ----------------------------------------------------------------------
 # directory layout
 # ----------------------------------------------------------------------
-def snapshot_paths(directory: str, shard: int | None = None):
-    """Sorted ``[(seq, path)]`` of one shard's snapshot files.
-
-    ``shard`` selects ``snapshot-{shard}-{seq}.npz`` names; ``None``
-    selects the legacy unlabeled ``snapshot-{seq}.npz`` names a
-    single-process run writes.
-    """
-    if not os.path.isdir(directory):
-        return []
-    found = []
-    for name in os.listdir(directory):
-        if not (name.startswith("snapshot-") and name.endswith(".npz")):
-            continue
-        parsed = parse_shard_stem(name[len("snapshot-"):-len(".npz")])
-        if parsed is None or parsed[0] != shard:
-            continue
-        found.append((parsed[1], os.path.join(directory, name)))
-    found.sort()
-    return found
+def snapshot_paths(directory: str, shard: int | None = 0):
+    """Sorted ``[(seq, path)]`` of one shard's snapshot files
+    (``shard=None`` selects a legacy unlabeled chain)."""
+    return sorted((seq, path)
+                  for kind, label, seq, path in chain_files(directory)
+                  if kind == "snapshot" and label == shard)
 
 
-def snapshot_shards(directory: str) -> list:
-    """Distinct shard labels with snapshots (``None`` = unlabeled)."""
-    if not os.path.isdir(directory):
-        return []
-    labels = set()
-    for name in os.listdir(directory):
-        if not (name.startswith("snapshot-") and name.endswith(".npz")):
-            continue
-        parsed = parse_shard_stem(name[len("snapshot-"):-len(".npz")])
-        if parsed is not None:
-            labels.add(parsed[0])
-    ordered = sorted(label for label in labels if label is not None)
-    return ([None] if None in labels else []) + ordered
-
-
-def latest_snapshot(directory: str, shard: int | None = None) -> str | None:
+def latest_snapshot(directory: str, shard: int | None = 0) -> str | None:
     """Path of the highest-sequence snapshot in ``directory``, if any."""
     found = snapshot_paths(directory, shard=shard)
     return found[-1][1] if found else None
@@ -279,16 +250,20 @@ def latest_snapshot(directory: str, shard: int | None = None) -> str | None:
 # live checkpointing
 # ----------------------------------------------------------------------
 class StreamSnapshotter:
-    """Checkpoint policy + WAL attached to a live forecaster.
+    """Checkpoint policy + WAL attached to one shard's forecaster.
+
+    :class:`~repro.durable.shard.ShardedSnapshotter` attaches one per
+    shard; this class is that per-shard piece.
 
     Parameters
     ----------
     forecaster:
-        The :class:`StreamingForecaster` to persist.  The snapshotter
+        The shard's :class:`StreamingForecaster`.  The snapshotter
         hooks its append path (under the forecaster lock), so every
         accepted tick is observed exactly once.
     directory:
-        Where ``snapshot-{seq}.npz`` and ``wal-{seq}.log`` files live.
+        Where ``snapshot-{shard}-{seq}.npz`` and
+        ``wal-{shard}-{seq}.log`` files live.
     every:
         Checkpoint automatically every ``every`` accepted ticks
         (``0`` = on-demand :meth:`checkpoint` only).
@@ -303,28 +278,26 @@ class StreamSnapshotter:
         How many recent snapshots to retain; older snapshots and WAL
         segments no recoverable chain needs are pruned at checkpoint.
     shard:
-        Shard label for a sharded runtime — files become
-        ``snapshot-{shard}-{seq}.npz`` / ``wal-{shard}-{seq}.log`` and
-        pruning only ever touches this shard's files, so N workers can
-        checkpoint into one directory without clobbering each other.
-        ``None`` (default) keeps the legacy single-process names.
+        The shard label every file name carries; pruning only ever
+        touches this shard's files, so N workers can checkpoint into
+        one directory without clobbering each other.
     """
 
     def __init__(self, forecaster, directory: str, *, every: int = 0,
                  wal: bool = True, fsync: bool = False, keep: int = 3,
-                 shard: int | None = None):
+                 shard: int = 0):
         if every < 0:
             raise ValueError("every must be >= 0 (0 = on-demand only)")
         if keep < 1:
             raise ValueError("keep must be >= 1")
-        if shard is not None and int(shard) < 0:
+        if int(shard) < 0:
             raise ValueError("shard must be a non-negative label")
         self.forecaster = forecaster
         self.directory = directory
         self.every = int(every)
         self.fsync = bool(fsync)
         self.keep = int(keep)
-        self.shard = None if shard is None else int(shard)
+        self.shard = int(shard)
         self.wal_enabled = bool(wal)
         os.makedirs(directory, exist_ok=True)
         from ..serve.artifact import ArtifactError, read_artifact_digest
@@ -343,15 +316,8 @@ class StreamSnapshotter:
                 self._wal = self._open_wal(forecaster._seq)
             forecaster._snapshotter = self
 
-    def _label(self, kind: str, seq: int, extension: str) -> str:
-        if self.shard is None:
-            return os.path.join(self.directory,
-                                f"{kind}-{seq:012d}{extension}")
-        return os.path.join(self.directory,
-                            f"{kind}-{self.shard}-{seq:012d}{extension}")
-
     def _open_wal(self, base_seq: int) -> TickWAL:
-        path = self._label("wal", base_seq, ".log")
+        path = chain_path(self.directory, "wal", self.shard, base_seq)
         return TickWAL(path, base_seq,
                        config=self.forecaster.durable_config(),
                        artifact_digest=self._artifact_digest,
@@ -377,7 +343,7 @@ class StreamSnapshotter:
         with self.forecaster._lock:
             state = self.forecaster.export_state()
             seq = int(state["seq"])
-            path = self._label("snapshot", seq, ".npz")
+            path = chain_path(self.directory, "snapshot", self.shard, seq)
             path = write_snapshot(
                 path, state, artifact_digest=self._artifact_digest,
                 shard=self.shard)
@@ -403,7 +369,6 @@ class StreamSnapshotter:
         # checkpoint), so segments below the oldest kept snapshot only
         # cover ticks some kept snapshot already contains.
         oldest_kept = kept[0][0]
-        from .wal import wal_paths
         for base, path in wal_paths(self.directory, shard=self.shard):
             if base < oldest_kept:
                 try:

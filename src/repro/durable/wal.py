@@ -7,7 +7,7 @@ after :meth:`StreamingForecaster.append` accepted it, so replaying the
 log re-runs exactly the ticks the dead process had already ingested —
 at-most-once, never a phantom tick.
 
-File layout (``wal-{base_seq:012d}.log``)::
+File layout (``wal-{shard}-{base_seq:012d}.log``)::
 
     REPRO-TICK-WAL\\n                      magic line
     {"format": 1, "base_seq": ..., ...}\\n  JSON header (config + digest)
@@ -43,10 +43,11 @@ __all__ = [
     "TickWAL",
     "TornWALError",
     "WALError",
-    "parse_shard_stem",
+    "chain_files",
+    "chain_labels",
+    "chain_path",
     "read_wal",
     "wal_paths",
-    "wal_shards",
 ]
 
 WAL_FORMAT_VERSION = 1
@@ -236,13 +237,29 @@ def read_wal(path: str):
     return header, records
 
 
-def parse_shard_stem(stem: str):
-    """Split a durable file stem into ``(shard, seq)``.
+# ----------------------------------------------------------------------
+# directory layout: one naming scheme for every durable file
+# ----------------------------------------------------------------------
+#: Durable file kinds → (name prefix, extension).
+_KINDS = {"snapshot": ("snapshot-", ".npz"), "wal": ("wal-", ".log")}
 
-    ``"000000000012"`` (legacy single-process name) → ``(None, 12)``;
-    ``"3-000000000012"`` (shard-labeled name) → ``(3, 12)``; anything
-    else → ``None`` (not a durable file of ours).
+
+def chain_path(directory: str, kind: str, shard: int, seq: int) -> str:
+    """Where shard ``shard``'s ``kind`` file for ``seq`` lives.
+
+    Every file written is ``snapshot-{shard}-{seq:012d}.npz`` or
+    ``wal-{shard}-{seq:012d}.log``, so N workers can share a directory
+    without clobbering each other.
     """
+    prefix, extension = _KINDS[kind]
+    return os.path.join(directory,
+                        f"{prefix}{int(shard)}-{int(seq):012d}{extension}")
+
+
+def _parse_stem(stem: str):
+    """``"3-000000000012"`` → ``(3, 12)``; ``"000000000012"`` (the
+    unlabeled name older single-process runs wrote) → ``(None, 12)``;
+    anything else → ``None`` (not a durable file of ours)."""
     if stem.isdigit():
         return None, int(stem)
     shard_part, sep, seq_part = stem.partition("-")
@@ -251,40 +268,35 @@ def parse_shard_stem(stem: str):
     return None
 
 
-def wal_paths(directory: str, start_seq: int = 0,
-              shard: int | None = None):
-    """Sorted ``[(base_seq, path)]`` of WAL segments with base >= start.
+def chain_files(directory: str) -> list:
+    """Every durable file in ``directory`` → ``[(kind, shard, seq, path)]``.
 
-    ``shard`` selects one shard's segments (``wal-{shard}-{base}.log``);
-    ``None`` selects the legacy unlabeled ``wal-{base}.log`` names a
-    single-process run writes.
+    ``shard`` is ``None`` for a legacy unlabeled chain: still read (the
+    recoverer reshards it onto the live ring), never written.
     """
     if not os.path.isdir(directory):
         return []
     found = []
     for name in os.listdir(directory):
-        if not (name.startswith("wal-") and name.endswith(".log")):
-            continue
-        parsed = parse_shard_stem(name[len("wal-"):-len(".log")])
-        if parsed is None or parsed[0] != shard:
-            continue
-        base = parsed[1]
-        if base >= start_seq:
-            found.append((base, os.path.join(directory, name)))
-    found.sort()
+        for kind, (prefix, extension) in _KINDS.items():
+            if name.startswith(prefix) and name.endswith(extension):
+                parsed = _parse_stem(name[len(prefix):-len(extension)])
+                if parsed is not None:
+                    found.append((kind, parsed[0], parsed[1],
+                                  os.path.join(directory, name)))
     return found
 
 
-def wal_shards(directory: str) -> list:
-    """Distinct shard labels with WAL segments (``None`` = unlabeled)."""
-    if not os.path.isdir(directory):
-        return []
-    labels = set()
-    for name in os.listdir(directory):
-        if not (name.startswith("wal-") and name.endswith(".log")):
-            continue
-        parsed = parse_shard_stem(name[len("wal-"):-len(".log")])
-        if parsed is not None:
-            labels.add(parsed[0])
-    ordered = sorted(label for label in labels if label is not None)
-    return ([None] if None in labels else []) + ordered
+def chain_labels(directory: str) -> list:
+    """Distinct shard labels with snapshots or WAL segments, legacy
+    unlabeled (``None``) first."""
+    labels = {shard for _, shard, _, _ in chain_files(directory)}
+    return ([None] if None in labels else []) + sorted(labels - {None})
+
+
+def wal_paths(directory: str, start_seq: int = 0, shard: int | None = 0):
+    """Sorted ``[(base_seq, path)]`` of one shard's WAL segments with
+    base >= ``start_seq`` (``shard=None`` selects a legacy chain)."""
+    return sorted((seq, path)
+                  for kind, label, seq, path in chain_files(directory)
+                  if kind == "wal" and label == shard and seq >= start_seq)

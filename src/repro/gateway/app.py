@@ -34,10 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..persist import atomic_write_json
-from ..serve.service import ForecastService
 from ..shard.router import ShardRouter
 from ..shard.stream import ShardedStreamingForecaster
-from ..stream.forecaster import StreamingForecaster
 from ..stream.ingest import StreamError
 from .admission import AdmissionController, SaturationError
 from .auth import ApiKeyRegistry, TenantKey
@@ -104,8 +102,11 @@ class Gateway:
     Parameters
     ----------
     service:
-        A :class:`ForecastService` or :class:`ShardRouter`; adopted,
-        not owned — the caller's context manager closes it.
+        The :class:`ShardRouter` to serve through (one worker unless
+        configured otherwise); adopted, not owned — the caller's
+        context manager closes it.  The predict path needs only the
+        ``ForecastService`` surface, so a bare service serves
+        predict-only deployments; ingest needs the router.
     registry:
         The :class:`ApiKeyRegistry` resolving ``Authorization`` keys.
     meter:
@@ -125,7 +126,7 @@ class Gateway:
         ``504`` — a backstop; admission should keep waits far shorter.
     """
 
-    def __init__(self, service: ForecastService | ShardRouter,
+    def __init__(self, service: ShardRouter,
                  registry: ApiKeyRegistry, *, meter: Meter | None = None,
                  cadence: int = 1, policy: str = "error",
                  interval: float = 1.0, max_gap: int = 16,
@@ -151,7 +152,8 @@ class Gateway:
             cadence=cadence, policy=policy, interval=interval,
             max_gap=max_gap, raw_values=raw_values)
         # guarded-by: _lock
-        self._forecasters: dict[tuple[str, int], StreamingForecaster] = {}
+        self._forecasters: dict[tuple[str, int],
+                                ShardedStreamingForecaster] = {}
         self._buckets: dict[str, TokenBucket] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self._draining = False  # guarded-by: _lock
@@ -183,7 +185,8 @@ class Gateway:
             return bucket
 
     def forecaster_for(self, dataset: str | None = None,
-                       horizon: int | None = None) -> StreamingForecaster:
+                       horizon: int | None = None
+                       ) -> ShardedStreamingForecaster:
         """The (lazily created) streaming forecaster for a model key.
 
         One forecaster per ``(dataset, horizon)`` bundle; all tenants'
@@ -195,14 +198,9 @@ class Gateway:
         with self._lock:
             forecaster = self._forecasters.get(model_key)
             if forecaster is None:
-                if isinstance(self.service, ShardRouter):
-                    forecaster = ShardedStreamingForecaster(
-                        self.service, dataset=model_key[0],
-                        horizon=model_key[1], **self._stream_options)
-                else:
-                    forecaster = StreamingForecaster(
-                        self.service, dataset=model_key[0],
-                        horizon=model_key[1], **self._stream_options)
+                forecaster = ShardedStreamingForecaster(
+                    self.service, dataset=model_key[0],
+                    horizon=model_key[1], **self._stream_options)
                 self._forecasters[model_key] = forecaster
             return forecaster
 
@@ -413,7 +411,7 @@ class Gateway:
         except KeyError as error:
             raise _Invalid(404, str(error)) from None
 
-    def _forecaster(self, dataset, horizon) -> StreamingForecaster:
+    def _forecaster(self, dataset, horizon) -> ShardedStreamingForecaster:
         try:
             return self.forecaster_for(dataset, horizon)
         except KeyError as error:

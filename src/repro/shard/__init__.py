@@ -1,4 +1,5 @@
-"""``repro.shard`` — shared-nothing horizontal scale-out.
+"""``repro.shard`` — the deployment topology: shared-nothing shard
+workers behind a hash-ring router, one worker by default.
 
 Four pieces, layered:
 

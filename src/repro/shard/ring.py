@@ -19,6 +19,9 @@ properties a plain ``hash(key) % N`` cannot give:
 With enough virtual nodes (the default 64 per shard) the arcs average
 out and shards stay within a small factor of the fair share — the
 property tests in ``tests/test_shard_properties.py`` pin both bounds.
+
+A one-shard ring — the default deployment — owns every key, so
+:meth:`HashRing.shard_for` returns its only label without hashing.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ class HashRing:
     # ------------------------------------------------------------------
     def shard_for(self, key) -> int:
         """The shard owning ``key`` — stable across processes and runs."""
+        if len(self._shards) == 1:
+            (only,) = self._shards
+            return only
         point = key_point(key)
         index = bisect.bisect_right(self._ring, (point, 2**64))
         if index == len(self._ring):

@@ -1,6 +1,8 @@
 """Consistent-hash router over a fleet of shared-nothing workers.
 
-:class:`ShardRouter` presents the same surface as one
+:class:`ShardRouter` is the one deployment topology: ``serve``,
+``stream`` and ``gateway`` all run behind it, with one worker unless
+``--workers`` asks for more.  It presents the same surface as one
 :class:`~repro.serve.service.ForecastService` — ``submit``/``predict``,
 key resolution, stats snapshot, pause/resume/close — while fanning the
 work out to per-shard :class:`~repro.shard.worker.ShardWorker` queues.
@@ -37,8 +39,8 @@ class ShardRouter:
     artifact_dir:
         Bundle directory shared (read-only) by every worker.
     workers:
-        Shard count.  ``1`` is a degenerate but valid ring — useful for
-        testing the routed path against the direct one.
+        Shard count.  ``1`` (the default deployment) is a one-shard
+        ring: every key routes to shard 0 without hashing.
     vnodes:
         Virtual nodes per shard on the ring (balance knob).
     **service_kwargs:
@@ -85,10 +87,6 @@ class ShardRouter:
 
     def worker_for_model(self, key: tuple[str, int]) -> ShardWorker:
         """The worker owning a model key's request traffic."""
-        return self.workers[self.ring.shard_for(key)]
-
-    def worker_for_stream(self, key) -> ShardWorker:
-        """The worker owning a stream key (``(tenant, series)``-style)."""
         return self.workers[self.ring.shard_for(key)]
 
     # ------------------------------------------------------------------

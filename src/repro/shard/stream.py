@@ -18,8 +18,9 @@ boundaries and drift state depend only on that key's own ticks — which
 all land on one shard, in arrival order — and the student forward is
 batch-independent, so what other keys share the shard's batches is
 value-irrelevant.  Hence an N-worker replay is **bitwise identical** to
-the 1-worker (and the unsharded) run, which is exactly what
-``--verify`` asserts end to end.
+the 1-worker run, which is exactly what ``--verify`` asserts end to
+end.  With one worker (the default deployment) this front end is the
+whole topology: the ring returns shard 0 without hashing.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ShardedStreamingForecaster:
         The :class:`ShardRouter` whose workers host the shards.  The
         router is adopted, not copied — ``close()`` closes it.
     dataset / horizon:
-        Model registry key, resolved like the unsharded forecaster.
+        Model registry key, resolved like :class:`StreamingForecaster`.
     **forecaster_kwargs:
         Forwarded verbatim to every per-shard
         :class:`StreamingForecaster` (cadence, gap policy, drift
@@ -51,10 +52,8 @@ class ShardedStreamingForecaster:
         self.router = router
         self.shards: list[StreamingForecaster] = []
         for worker in router.workers:
-            forecaster = StreamingForecaster(
-                worker.service, dataset, horizon, **forecaster_kwargs)
-            worker.forecaster = forecaster
-            self.shards.append(forecaster)
+            self.shards.append(StreamingForecaster(
+                worker.service, dataset, horizon, **forecaster_kwargs))
         template = self.shards[0]
         self.model_key = template.model_key
         self.input_len = template.input_len
@@ -77,8 +76,8 @@ class ShardedStreamingForecaster:
     # StreamingForecaster surface
     # ------------------------------------------------------------------
     def append(self, key, timestamp, values):
-        """Ingest one tick on the owning shard (same contract as the
-        unsharded :meth:`StreamingForecaster.append`)."""
+        """Ingest one tick on the owning shard (same contract as
+        :meth:`StreamingForecaster.append`)."""
         return self._owner(key).append(key, timestamp, values)
 
     def forecast(self, key):
@@ -139,9 +138,9 @@ class ShardedStreamingForecaster:
     def snapshot(self) -> dict:
         """Merged stream + service counters for the whole cluster.
 
-        Reads like an unsharded snapshot (same keys, summed counters)
-        with a ``workers`` field added; per-shard breakdowns come from
-        :meth:`shard_snapshots` when skew matters.
+        Reads like one :meth:`StreamingForecaster.snapshot` (same keys,
+        summed counters) with a ``workers`` field added; per-shard
+        breakdowns come from :meth:`shard_snapshots` when skew matters.
         """
         merged = StreamStats()
         seq = series = alarmed = 0

@@ -19,7 +19,7 @@ __all__ = ["ShardWorker"]
 
 
 class ShardWorker:
-    """Shard-local :class:`ForecastService` plus its streaming engine.
+    """One shard's :class:`ForecastService`.
 
     Parameters
     ----------
@@ -31,10 +31,6 @@ class ShardWorker:
     **service_kwargs:
         Forwarded to :class:`ForecastService` (``max_models``,
         ``max_batch``).
-
-    ``forecaster`` is attached by
-    :class:`repro.shard.stream.ShardedStreamingForecaster` when the
-    deployment streams; pure request/response serving leaves it None.
     """
 
     def __init__(self, shard: int, artifact_dir: str, **service_kwargs):
@@ -42,8 +38,6 @@ class ShardWorker:
             raise ValueError("shard labels must be non-negative")
         self.shard = int(shard)
         self.service = ForecastService(artifact_dir, **service_kwargs)
-        #: Per-shard StreamingForecaster (None until a stream attaches).
-        self.forecaster = None
 
     def close(self) -> None:
         self.service.close()

@@ -479,43 +479,3 @@ class StreamingForecaster:
             self._latest = {}
             self.stats = StreamStats()  # guarded-by: _lock
             self._seq = 0
-
-    def snapshot_to(self, path: str) -> str:
-        """Write a durable snapshot of the full universe to ``path``.
-
-        Convenience around :func:`repro.durable.snapshot.write_snapshot`
-        — stamps the bundle's weight digest so recovery can verify it
-        is importing into a process serving the same weights.  Returns
-        the written path.
-        """
-        from ..durable.snapshot import write_snapshot
-        from ..serve.artifact import ArtifactError, read_artifact_digest
-
-        with self._lock:
-            state = self.export_state()
-            try:
-                digest = read_artifact_digest(
-                    self.service.path_for(self.model_key))
-            except (KeyError, ArtifactError):
-                digest = None
-            return write_snapshot(path, state, artifact_digest=digest)
-
-    def restore_from(self, source: str, *, replay_wal: bool = True,
-                     strict_wal: bool = True, recoverer=None):
-        """Recover this forecaster from ``source`` (snapshot or directory).
-
-        Runs a :class:`repro.durable.recover.StatefulRecoverer` (pass
-        your own via ``recoverer`` to inspect stages afterwards) and
-        raises :class:`repro.durable.recover.RecoveryError` unless it
-        reaches ``succeeded``.  Returns the final
-        :class:`~repro.durable.recover.RecoveryState`.
-        """
-        from ..durable.recover import RecoveryError, StatefulRecoverer
-
-        if recoverer is None:
-            recoverer = StatefulRecoverer()
-        state = recoverer.recover(source, self, replay_wal=replay_wal,
-                                  strict_wal=strict_wal)
-        if state.failure_reason is not None:
-            raise RecoveryError(state)
-        return state

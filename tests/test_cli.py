@@ -147,6 +147,75 @@ class TestDurabilityFlagValidation:
             assert flag in out
 
 
+def read_tree(directory: str) -> dict:
+    """``{name: bytes}`` of every file in ``directory``."""
+    tree = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            tree[name] = fh.read()
+    return tree
+
+
+class TestStreamSnapshotDir:
+    """stream --snapshot-dir: a used directory needs --resume, and the
+    first --resume over a legacy unlabeled chain re-anchors it."""
+
+    @pytest.fixture()
+    def artifacts(self, tmp_path) -> str:
+        directory = str(tmp_path / "artifacts")
+        os.makedirs(directory)
+        make_tiny_bundle(directory, history_length=96, num_variables=7,
+                         horizon=24)
+        return directory
+
+    @staticmethod
+    def stream(artifacts, snapdir, ticks, *extra) -> int:
+        return main(["stream", "--artifacts", artifacts, "--dataset",
+                     "ETTm1", "--length", "500", "--ticks", str(ticks),
+                     "--snapshot-dir", snapdir, *extra])
+
+    def test_fresh_run_refuses_a_used_snapshot_dir(self, artifacts,
+                                                   tmp_path, capsys):
+        snapdir = str(tmp_path / "snaps")
+        assert self.stream(artifacts, snapdir, 30) == 0
+        assert "final snapshots written" in capsys.readouterr().out
+        before = read_tree(snapdir)
+        assert before
+
+        assert self.stream(artifacts, snapdir, 10) != 0
+        captured = capsys.readouterr()
+        assert "--resume" in captured.err
+        assert "sharded streaming" not in captured.out  # nothing attached
+        assert read_tree(snapdir) == before
+
+    def test_resume_migrates_a_legacy_unlabeled_chain(self, artifacts,
+                                                      tmp_path, capsys):
+        snapdir = str(tmp_path / "snaps")
+        assert self.stream(artifacts, snapdir, 100) == 0
+        # Rename shard 0's chain to the unlabeled snapshot-{seq}.npz /
+        # wal-{seq}.log names older single-process runs wrote.
+        legacy = []
+        for name in os.listdir(snapdir):
+            kind, _, seq = name.partition("-0-")
+            legacy.append(f"{kind}-{seq}")
+            os.rename(os.path.join(snapdir, name),
+                      os.path.join(snapdir, legacy[-1]))
+        capsys.readouterr()
+
+        assert self.stream(artifacts, snapdir, 120, "--resume",
+                           "--verify") == 0
+        out = capsys.readouterr().out
+        assert "recovered 1 series at seq 100 from 1 shard chain(s) " \
+            "[resharded]" in out
+        assert f"pruned {len(legacy)} superseded chain file(s)" in out
+        assert "bitwise identical" in out and "parity: 0 " not in out
+        names = os.listdir(snapdir)
+        assert not set(legacy) & set(names)
+        assert any(name.startswith("snapshot-0-") for name in names)
+        assert all(name.startswith(("snapshot-0-", "wal-0-"))
+                   for name in names)
+
+
 class TestShardFlagValidation:
     """--workers/--shard-vnodes fail fast at the parser, never mid-run."""
 

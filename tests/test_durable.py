@@ -1,6 +1,9 @@
 """Durability layer: snapshots, WAL, staged recovery, fault injection.
 
-The headline test kills a replay mid-stream at an arbitrary tick,
+Everything runs against the default deployment, a 1-worker cluster
+(``ShardRouter`` + ``ShardedStreamingForecaster``) persisted by
+``ShardedSnapshotter`` and restored by ``ShardedRecoverer``.  The
+headline test kills a replay mid-stream at an arbitrary tick,
 recovers, finishes, and demands the merged forecasts be **bitwise
 identical** to an uninterrupted run and to the offline forward of each
 engine (module oracle and compiled).  The fault tests prove every stage
@@ -19,18 +22,20 @@ import pytest
 from repro.core import TimeKDConfig, TimeKDForecaster
 from repro.core.student import StudentModel
 from repro.data import StandardScaler
-from repro.serve import ForecastService, save_student_artifact
-from repro.stream import SeriesState, StreamingForecaster, replay
+from repro.serve import save_student_artifact
+from repro.shard import ShardRouter, ShardedStreamingForecaster
+from repro.stream import replay
 from repro.durable import (
     InjectedCrash,
     KeyCodecError,
     RecoveryError,
     RecoveryStages,
-    StatefulRecoverer,
-    StreamSnapshotter,
+    ShardedRecoverer,
+    ShardedSnapshotter,
     TickWAL,
     TornWALError,
     WALError,
+    chain_labels,
     decode_key,
     disarm_all,
     encode_key,
@@ -44,6 +49,7 @@ from repro.durable import (
     write_snapshot,
 )
 from repro.durable.faults import torn_tail
+from repro.durable.wal import chain_path
 from repro.nn.serialization import load_arrays, save_arrays
 from repro.persist import arrays_digest, atomic_write_json
 
@@ -89,14 +95,22 @@ def bundle_dir(tmp_path):
 
 
 def make_forecaster(bundle_dir, **overrides):
-    service = ForecastService(bundle_dir)
+    """The default deployment: a 1-worker router and its front end."""
+    router = ShardRouter(bundle_dir)
     options = dict(cadence=5, raw_values=True)
     options.update(overrides)
-    forecaster = StreamingForecaster(service, "ETTm1", M, **options)
-    return service, forecaster
+    forecaster = ShardedStreamingForecaster(router, "ETTm1", M, **options)
+    return router, forecaster
 
 
-def states_bitwise_equal(a: StreamingForecaster, b: StreamingForecaster):
+def checkpoint(forecaster, snapdir) -> str:
+    """One snapshot of a 1-worker cluster (no WAL) → its path."""
+    with ShardedSnapshotter(forecaster, snapdir, wal=False) as snapshotter:
+        (path,) = snapshotter.checkpoint()
+    return path
+
+
+def states_bitwise_equal(a, b):
     assert sorted(map(str, a.keys())) == sorted(map(str, b.keys()))
     for key in a.keys():
         sa, sb = a.state(key), b.state(key)
@@ -105,7 +119,7 @@ def states_bitwise_equal(a: StreamingForecaster, b: StreamingForecaster):
         assert sa.mean.tobytes() == sb.mean.tobytes()
         assert sa._m2.tobytes() == sb._m2.tobytes()
         assert a.monitor(key).as_dict() == b.monitor(key).as_dict()
-    assert a.stats.as_dict() == b.stats.as_dict()
+    assert a.snapshot()["stream"] == b.snapshot()["stream"]
     assert a.seq == b.seq
 
 
@@ -214,11 +228,17 @@ class TestTickWAL:
             TickWAL(path, 9)
 
     def test_wal_paths_filters_and_sorts(self, tmp_path):
-        for base in (0, 40, 80):
-            TickWAL(str(tmp_path / f"wal-{base:012d}.log"), base).close()
+        directory = str(tmp_path)
+        for base in (80, 0, 40):
+            TickWAL(chain_path(directory, "wal", 0, base), base).close()
+        TickWAL(chain_path(directory, "wal", 1, 40), 40).close()
+        TickWAL(str(tmp_path / "wal-000000000040.log"), 40).close()  # legacy
         (tmp_path / "wal-junk.log").write_text("x")
-        found = wal_paths(str(tmp_path), 40)
-        assert [base for base, _ in found] == [40, 80]
+        assert [base for base, _ in wal_paths(directory, 40)] == [40, 80]
+        assert [base for base, _ in wal_paths(directory, 0, shard=1)] == [40]
+        assert [base for base, _ in wal_paths(directory, 0, shard=None)] \
+            == [40]
+        assert chain_labels(directory) == [None, 0, 1]
 
     def test_durable_size_tracks_flushes(self, tmp_path, rng):
         path = str(tmp_path / "wal-000000000000.log")
@@ -235,11 +255,12 @@ class TestTickWAL:
 # ----------------------------------------------------------------------
 class TestSnapshotRoundTrip:
     def test_restore_is_bitwise(self, bundle_dir, walk, tmp_path):
+        snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=60)
-        path = forecaster.snapshot_to(str(tmp_path / "snap.npz"))
+        checkpoint(forecaster, snapdir)
         service2, restored = make_forecaster(bundle_dir)
-        state = restored.restore_from(path, replay_wal=False)
+        state = restored.restore_from(snapdir, replay_wal=False)
         assert state.stage is RecoveryStages.SUCCEEDED
         states_bitwise_equal(forecaster, restored)
         # cached latest forecast survives with dtype + bytes intact
@@ -250,11 +271,12 @@ class TestSnapshotRoundTrip:
         service2.close()
 
     def test_continuation_is_bitwise(self, bundle_dir, walk, tmp_path):
+        snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=60)
-        path = forecaster.snapshot_to(str(tmp_path / "snap.npz"))
+        checkpoint(forecaster, snapdir)
         service2, restored = make_forecaster(bundle_dir)
-        restored.restore_from(path, replay_wal=False)
+        restored.restore_from(snapdir, replay_wal=False)
         rest_a = replay(forecaster, walk, first_tick=60)
         rest_b = replay(restored, walk, first_tick=60)
         assert sorted(rest_a.forecasts) == sorted(rest_b.forecasts)
@@ -264,10 +286,11 @@ class TestSnapshotRoundTrip:
         service2.close()
 
     def test_empty_forecaster_round_trips(self, bundle_dir, tmp_path):
+        snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
-        path = forecaster.snapshot_to(str(tmp_path / "snap.npz"))
+        checkpoint(forecaster, snapdir)
         service2, restored = make_forecaster(bundle_dir)
-        state = restored.restore_from(path, replay_wal=False)
+        state = restored.restore_from(snapdir, replay_wal=False)
         assert state.stage is RecoveryStages.SUCCEEDED
         assert restored.keys() == [] and restored.seq == 0
         service.close()
@@ -278,10 +301,11 @@ class TestSnapshotRoundTrip:
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=60)
         before = service.snapshot()
-        path = forecaster.snapshot_to(str(tmp_path / "snap.npz"))
+        snapdir = str(tmp_path / "snaps")
+        checkpoint(forecaster, snapdir)
         service.close()
         service2, restored = make_forecaster(bundle_dir)
-        restored.restore_from(path, replay_wal=False)
+        restored.restore_from(snapdir, replay_wal=False)
         merged = service2.snapshot()
         assert merged.requests == before.requests
         assert merged.served == before.served
@@ -296,7 +320,7 @@ class TestStreamSnapshotter:
     def test_every_n_ticks_checkpoints(self, bundle_dir, walk, tmp_path):
         snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
-        with StreamSnapshotter(forecaster, snapdir, every=20):
+        with ShardedSnapshotter(forecaster, snapdir, every=20):
             replay(forecaster, walk, max_ticks=65)
         assert [seq for seq, _ in snapshot_paths(snapdir)] == [20, 40, 60]
         # WAL rotated at each checkpoint; tail segment holds ticks 61-65
@@ -308,7 +332,7 @@ class TestStreamSnapshotter:
                                             tmp_path):
         snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
-        with StreamSnapshotter(forecaster, snapdir, every=10, keep=2):
+        with ShardedSnapshotter(forecaster, snapdir, every=10, keep=2):
             replay(forecaster, walk, max_ticks=55)
         assert [seq for seq, _ in snapshot_paths(snapdir)] == [40, 50]
         assert all(base >= 40 for base, _ in wal_paths(snapdir))
@@ -317,7 +341,7 @@ class TestStreamSnapshotter:
     def test_close_detaches(self, bundle_dir, walk, tmp_path):
         snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
-        snapshotter = StreamSnapshotter(forecaster, snapdir)
+        snapshotter = ShardedSnapshotter(forecaster, snapdir)
         replay(forecaster, walk, max_ticks=40)
         snapshotter.close()
         replay(forecaster, walk, first_tick=40, max_ticks=10)
@@ -327,9 +351,9 @@ class TestStreamSnapshotter:
 
     def test_double_attach_refused(self, bundle_dir, tmp_path):
         service, forecaster = make_forecaster(bundle_dir)
-        with StreamSnapshotter(forecaster, str(tmp_path / "a")):
+        with ShardedSnapshotter(forecaster, str(tmp_path / "a")):
             with pytest.raises(RuntimeError, match="already has"):
-                StreamSnapshotter(forecaster, str(tmp_path / "b"))
+                ShardedSnapshotter(forecaster, str(tmp_path / "b"))
         service.close()
 
 
@@ -349,7 +373,7 @@ class TestKillRecoverParity:
         service.close()
 
         service, victim = make_forecaster(bundle_dir)
-        StreamSnapshotter(victim, snapdir, every=13)
+        ShardedSnapshotter(victim, snapdir, every=13)
         before = replay(victim, walk, max_ticks=kill_at)
         # the crash: no snapshotter close, no final checkpoint — the
         # only durable state is past snapshots + the flushed WAL
@@ -357,7 +381,7 @@ class TestKillRecoverParity:
         del victim
 
         service, recovered = make_forecaster(bundle_dir)
-        recoverer = StatefulRecoverer()
+        recoverer = ShardedRecoverer()
         state = recoverer.recover(snapdir, recovered)
         assert state.stage is RecoveryStages.SUCCEEDED
         assert recoverer.history == [
@@ -394,7 +418,7 @@ class TestKillRecoverParity:
 
         # crash before the first checkpoint: only wal-0 exists
         service, victim = make_forecaster(bundle_dir)
-        StreamSnapshotter(victim, snapdir, every=0)
+        ShardedSnapshotter(victim, snapdir, every=0)
         before = replay(victim, walk, max_ticks=20)
         service.close()
         assert latest_snapshot(snapdir) is None
@@ -417,7 +441,7 @@ class TestKillRecoverParity:
 def snapshot_after_replay(bundle_dir, walk, snapdir, *, every=13,
                           ticks=60, **overrides):
     service, forecaster = make_forecaster(bundle_dir, **overrides)
-    StreamSnapshotter(forecaster, snapdir, every=every)
+    ShardedSnapshotter(forecaster, snapdir, every=every)
     replay(forecaster, walk, max_ticks=ticks)
     service.close()
 
@@ -427,11 +451,10 @@ class TestInjectedFaults:
                                                   tmp_path):
         snapdir = str(tmp_path / "snaps")
         snapshot_after_replay(bundle_dir, walk, snapdir)
-        path = latest_snapshot(snapdir)
-        truncate_file(path, keep_fraction=0.5)
+        truncate_file(latest_snapshot(snapdir), keep_fraction=0.5)
         service, forecaster = make_forecaster(bundle_dir)
-        recoverer = StatefulRecoverer()
-        state = recoverer.recover(path, forecaster, replay_wal=False)
+        recoverer = ShardedRecoverer()
+        state = recoverer.recover(snapdir, forecaster, replay_wal=False)
         assert state.stage is RecoveryStages.FAILED
         assert "unreadable snapshot" in state.failure_reason
         assert forecaster.keys() == []  # nothing was imported
@@ -443,8 +466,8 @@ class TestInjectedFaults:
         snapshot_after_replay(bundle_dir, walk, snapdir)
         flip_digest_byte(latest_snapshot(snapdir))
         service, forecaster = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(snapdir, forecaster,
-                                            replay_wal=False)
+        state = ShardedRecoverer().recover(snapdir, forecaster,
+                                           replay_wal=False)
         assert state.stage is RecoveryStages.FAILED
         assert "digest mismatch" in state.failure_reason
         service.close()
@@ -458,8 +481,8 @@ class TestInjectedFaults:
         arrays["__format__"] = np.int64(99)
         save_arrays(path, arrays)
         service, forecaster = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(snapdir, forecaster,
-                                            replay_wal=False)
+        state = ShardedRecoverer().recover(snapdir, forecaster,
+                                           replay_wal=False)
         assert state.stage is RecoveryStages.FAILED
         assert "format 99" in state.failure_reason
         assert "not supported" in state.failure_reason
@@ -469,7 +492,7 @@ class TestInjectedFaults:
         snapdir = str(tmp_path / "snaps")
         snapshot_after_replay(bundle_dir, walk, snapdir, interval=1.0)
         service, forecaster = make_forecaster(bundle_dir, interval=2.0)
-        recoverer = StatefulRecoverer()
+        recoverer = ShardedRecoverer()
         with pytest.raises(RecoveryError, match="config mismatch"):
             forecaster.restore_from(snapdir, recoverer=recoverer)
         assert "interval" in recoverer.state().failure_reason
@@ -485,7 +508,7 @@ class TestInjectedFaults:
         os.makedirs(other_dir)
         make_bundle(other_dir, config=stream_config(seed=1234))
         service, forecaster = make_forecaster(other_dir)
-        state = StatefulRecoverer().recover(snapdir, forecaster)
+        state = ShardedRecoverer().recover(snapdir, forecaster)
         assert state.stage is RecoveryStages.FAILED
         assert "artifact digest mismatch" in state.failure_reason
         service.close()
@@ -499,15 +522,15 @@ class TestInjectedFaults:
         torn_tail(tail_path, drop_bytes=4)  # tick 70 mid-record
 
         service, strict = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(snapdir, strict,
-                                            strict_wal=True)
+        state = ShardedRecoverer().recover(snapdir, strict,
+                                           strict_wal=True)
         assert state.stage is RecoveryStages.FAILED
         assert "torn WAL record" in state.failure_reason
         assert strict.keys() == []
         service.close()
 
         service, lax = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(snapdir, lax, strict_wal=False)
+        state = ShardedRecoverer().recover(snapdir, lax, strict_wal=False)
         assert state.stage is RecoveryStages.SUCCEEDED
         assert state.detail["final_seq"] == 69  # torn tick 70 trimmed
         # the trimmed tick was never durable: re-feeding it and the rest
@@ -530,7 +553,7 @@ class TestInjectedFaults:
         os.unlink(latest_snapshot(snapdir))
         os.unlink(wal_paths(snapdir, 52)[0][1])
         service, forecaster = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(snapdir, forecaster)
+        state = ShardedRecoverer().recover(snapdir, forecaster)
         assert state.stage is RecoveryStages.FAILED
         assert "WAL gap" in state.failure_reason
         service.close()
@@ -539,9 +562,9 @@ class TestInjectedFaults:
                                                tmp_path):
         snapdir = str(tmp_path / "snaps")
         service, victim = make_forecaster(bundle_dir)
-        snapshotter = StreamSnapshotter(victim, snapdir, every=13)
+        snapshotter = ShardedSnapshotter(victim, snapdir, every=13)
         replay(victim, walk, max_ticks=30)
-        durable = snapshotter._wal.durable_size
+        durable = snapshotter.snapshotters[0]._wal.durable_size
         with inject("wal.fsync"):
             with pytest.raises(InjectedCrash):
                 victim.append(("replay", "series"), 30.0, walk[30])
@@ -568,7 +591,7 @@ class TestInjectedFaults:
                                                           walk, tmp_path):
         snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
-        snapshotter = StreamSnapshotter(forecaster, snapdir)
+        snapshotter = ShardedSnapshotter(forecaster, snapdir)
         replay(forecaster, walk, max_ticks=40)
         with inject("snapshot.publish"):
             with pytest.raises(InjectedCrash):
@@ -587,7 +610,7 @@ class TestInjectedFaults:
         snapshot_after_replay(bundle_dir, walk, snapdir)
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=10)  # pre-existing live state
-        recoverer = StatefulRecoverer()
+        recoverer = ShardedRecoverer()
         with inject("recover.import"):
             state = recoverer.recover(snapdir, forecaster)
         assert state.stage is RecoveryStages.FAILED
@@ -604,7 +627,7 @@ class TestInjectedFaults:
         snapshot_after_replay(bundle_dir, walk, snapdir, every=13,
                               ticks=70)
         service, forecaster = make_forecaster(bundle_dir)
-        recoverer = StatefulRecoverer()
+        recoverer = ShardedRecoverer()
         with inject("recover.replay", at=3):
             state = recoverer.recover(snapdir, forecaster)
         assert state.stage is RecoveryStages.FAILED
@@ -616,7 +639,7 @@ class TestInjectedFaults:
 
     def test_missing_source_fails_in_reading(self, bundle_dir, tmp_path):
         service, forecaster = make_forecaster(bundle_dir)
-        recoverer = StatefulRecoverer()
+        recoverer = ShardedRecoverer()
         state = recoverer.recover(str(tmp_path / "nowhere"), forecaster)
         assert state.stage is RecoveryStages.FAILED
         assert "no snapshot found" in state.failure_reason
@@ -631,21 +654,22 @@ class TestSnapshotFormat:
     def test_write_snapshot_appends_extension(self, bundle_dir, tmp_path):
         service, forecaster = make_forecaster(bundle_dir)
         path = write_snapshot(str(tmp_path / "bare"),
-                              forecaster.export_state())
+                              forecaster.shards[0].export_state())
         assert path.endswith(".npz") and os.path.exists(path)
         service.close()
 
     def test_digest_covers_every_entry(self, bundle_dir, walk, tmp_path):
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=40)
-        path = forecaster.snapshot_to(str(tmp_path / "snap.npz"))
+        snapdir = str(tmp_path / "snaps")
+        path = checkpoint(forecaster, snapdir)
         arrays = load_arrays(path)
         buffer_keys = [k for k in arrays if k.endswith("/buffer")]
         arrays[buffer_keys[0]][0, 0] += 1.0  # corrupt one payload value
         save_arrays(path, arrays)
         service2, restored = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(path, restored,
-                                            replay_wal=False)
+        state = ShardedRecoverer().recover(snapdir, restored,
+                                           replay_wal=False)
         assert state.stage is RecoveryStages.FAILED
         assert "digest mismatch" in state.failure_reason
         service.close()
@@ -657,7 +681,8 @@ class TestSnapshotFormat:
         # removed carry both keys in __meta__; they must still import.
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=40)
-        path = forecaster.snapshot_to(str(tmp_path / "legacy.npz"))
+        snapdir = str(tmp_path / "snaps")
+        path = checkpoint(forecaster, snapdir)
         arrays = load_arrays(path)
         meta = json.loads(str(arrays["__meta__"]))
         meta.update(engine="compiled", precision="float32")
@@ -667,8 +692,8 @@ class TestSnapshotFormat:
         save_arrays(path, arrays)
 
         service2, restored = make_forecaster(bundle_dir)
-        state = StatefulRecoverer().recover(path, restored,
-                                            replay_wal=False)
+        state = ShardedRecoverer().recover(snapdir, restored,
+                                           replay_wal=False)
         assert state.stage is RecoveryStages.SUCCEEDED
         states_bitwise_equal(forecaster, restored)
         service.close()

@@ -40,6 +40,7 @@ from repro.gateway import (
     write_keys_file,
 )
 from repro.serve import ForecastService, save_student_artifact
+from repro.shard import ShardRouter
 
 L, N, M = 32, 3, 8
 
@@ -71,8 +72,8 @@ def artifact_dir(tmp_path_factory) -> str:
 
 @pytest.fixture()
 def service(artifact_dir):
-    with ForecastService(artifact_dir) as svc:
-        yield svc
+    with ShardRouter(artifact_dir) as router:  # the 1-worker deployment
+        yield router
 
 
 @pytest.fixture()
@@ -118,6 +119,16 @@ class _FailingService(ForecastService):
         future: Future = Future()
         future.set_exception(RuntimeError(SECRET))
         return future
+
+
+def failing_router(artifact_dir, fail_future: bool = False) -> ShardRouter:
+    """A 1-worker router whose shard serves through a _FailingService,
+    so both predict and the ingest path's cadence forecasts fail."""
+    router = ShardRouter(artifact_dir)
+    worker = router.workers[0]
+    worker.service.close()
+    worker.service = _FailingService(artifact_dir, fail_future)
+    return router
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +537,7 @@ class TestGatewayHandlers:
     @pytest.mark.parametrize("fail_future", [False, True])
     def test_500_never_leaks_exception_text(self, artifact_dir, keys_path,
                                             rng, fail_future):
-        with _FailingService(artifact_dir, fail_future) as failing:
+        with failing_router(artifact_dir, fail_future) as failing:
             gateway = Gateway(failing, ApiKeyRegistry(keys_path))
             tenant_key = gateway.authenticate("k-acme")
             predicted = gateway.predict(tenant_key, {

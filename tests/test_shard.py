@@ -3,8 +3,8 @@
 The headline invariant mirrors the repo's replay-parity guarantee one
 level up: routing ticks across N shared-nothing workers must be
 **bitwise invisible** — an N-worker replay produces exactly the bytes
-of the 1-worker (and the unsharded) run, and recovery across a worker
--count change (resharding) lands on the same bytes too.
+of the 1-worker run (the default deployment), and recovery across a
+worker-count change (resharding) lands on the same bytes too.
 """
 
 from __future__ import annotations
@@ -20,23 +20,22 @@ from repro.durable import (
     RecoveryStages,
     ShardedRecoverer,
     ShardedSnapshotter,
-    StatefulRecoverer,
-    StreamSnapshotter,
+    chain_files,
+    chain_labels,
     flip_digest_byte,
     inject,
-    latest_snapshot,
-    snapshot_shards,
-    wal_shards,
+    wal_paths,
+    write_snapshot,
 )
-from repro.serve import ForecastService
+from repro.serve import ForecastService, read_artifact_digest
 from repro.shard import (
     DEFAULT_VNODES,
     HashRing,
     ShardRouter,
-    ShardWorker,
     ShardedStreamingForecaster,
 )
-from repro.stream import StreamingForecaster, replay, verify_parity
+from repro.shard import ring as ring_module
+from repro.stream import replay, verify_parity
 
 from test_durable import L, M, N, make_bundle
 
@@ -64,10 +63,13 @@ def make_sharded(bundle_dir, workers, vnodes=DEFAULT_VNODES, **overrides):
 
 
 def make_single(bundle_dir, **overrides):
-    service = ForecastService(bundle_dir)
-    options = dict(cadence=5, raw_values=True)
-    options.update(overrides)
-    return service, StreamingForecaster(service, "ETTm1", M, **options)
+    """The default deployment: a 1-worker cluster."""
+    return make_sharded(bundle_dir, 1, **overrides)
+
+
+def chain_kinds(directory) -> set:
+    """``{(kind, shard label)}`` of every durable file in ``directory``."""
+    return {(kind, shard) for kind, shard, _, _ in chain_files(directory)}
 
 
 def replay_keys(forecaster, walk, keys, ticks, first_tick=0):
@@ -95,9 +97,9 @@ def feed(forecaster, walk, keys, ticks, first_tick=0):
 def assert_same_universe(a, b, *, monitors=True, seq=True) -> None:
     """Per-key streaming state of ``a`` and ``b`` is bitwise identical.
 
-    Works across the sharded/unsharded divide: only the per-key surface
-    (buffers, scaler moments, drift monitors) and cluster totals are
-    compared — never where a key happened to live.
+    Works across worker counts: only the per-key surface (buffers,
+    scaler moments, drift monitors) and cluster totals are compared —
+    never where a key happened to live.
 
     ``seq=False`` skips the cluster tick counter: after an ``N → M``
     reshard every target restarts at the highest source seq (chain
@@ -181,6 +183,22 @@ class TestHashRing:
         assert max(sizes) <= 2 * (len(keys) / 4)
         assert min(sizes) >= (len(keys) / 4) / 2
 
+    def test_one_shard_ring_owns_every_key_without_hashing(
+            self, monkeypatch):
+        def no_hashing(key):
+            raise AssertionError("a one-shard ring hashed a key")
+
+        monkeypatch.setattr(ring_module, "key_point", no_hashing)
+        assert {HashRing(1).shard_for(key) for key in KEYS} == {0}
+        # The survivor of remove_shard keeps its label, not 0.
+        ring = HashRing(3)
+        ring.remove_shard(0)
+        ring.remove_shard(2)
+        assert {ring.shard_for(key) for key in KEYS} == {1}
+        monkeypatch.undo()
+        ring.add_shard(0)  # two shards again: lookups hash once more
+        assert {ring.shard_for(key) for key in KEYS} == {0, 1}
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             HashRing(0)
@@ -250,7 +268,7 @@ class TestShardedReplayParity:
     def test_sharded_replay_is_bitwise_identical(self, bundle_dir, walk,
                                                  engine):
         keys = KEYS[:6]
-        service, single = make_single(bundle_dir)
+        single_router, single = make_single(bundle_dir)
         feed(single, walk, keys, ticks=60)
         offline = TimeKDForecaster.from_artifact(
             os.path.join(bundle_dir, "m.npz"))
@@ -271,7 +289,7 @@ class TestShardedReplayParity:
                         f"{key} on {workers} workers diverged from the "
                         f"offline {engine} forward")
             router.close()
-        service.close()
+        single_router.close()
 
     def test_verify_parity_through_the_sharded_front_end(self, bundle_dir,
                                                          walk):
@@ -320,8 +338,8 @@ class TestShardedDurability:
         names = sorted(os.listdir(snapdir))
         assert any(name.startswith("snapshot-0-") for name in names)
         assert any(name.startswith("snapshot-1-") for name in names)
-        assert snapshot_shards(snapdir) == [0, 1]
-        assert wal_shards(snapdir) == [0, 1]
+        assert chain_kinds(snapdir) == {("snapshot", 0), ("snapshot", 1),
+                                        ("wal", 0), ("wal", 1)}
         router.close()
 
     def test_faithful_recovery_restores_every_shard(self, bundle_dir,
@@ -384,19 +402,50 @@ class TestShardedDurability:
 
     def test_legacy_unsharded_chain_reshards_onto_a_ring(
             self, bundle_dir, walk, tmp_path):
+        keys = KEYS[:4]
         snapdir = str(tmp_path / "snaps")
-        service, single = make_single(bundle_dir)
-        snapshotter = StreamSnapshotter(single, snapdir, every=0)
-        feed(single, walk, KEYS[:4], ticks=50)
-        snapshotter.checkpoint()
+        # The unlabeled chain an older single-process run left behind:
+        # snapshot-{seq}.npz plus the wal-{seq}.log segment after it.
+        router, single = make_single(bundle_dir)
+        feed(single, walk, keys, ticks=40)
+        seq = single.seq
+        os.makedirs(snapdir)
+        write_snapshot(
+            os.path.join(snapdir, f"snapshot-{seq:012d}.npz"),
+            single.shards[0].export_state(),
+            artifact_digest=read_artifact_digest(
+                router.path_for(single.model_key)))
+        snapshotter = ShardedSnapshotter(single, snapdir, every=0)
+        feed(single, walk, keys, ticks=50, first_tick=40)
         snapshotter.close()
+        ((_, labeled),) = wal_paths(snapdir, shard=0)
+        os.rename(labeled, os.path.join(snapdir, f"wal-{seq:012d}.log"))
+        assert chain_labels(snapdir) == [None]
 
-        router, sharded = make_sharded(bundle_dir, workers=2)
+        ring_router, sharded = make_sharded(bundle_dir, workers=2)
         state = sharded.restore_from(snapdir)
         assert state.detail["resharded"] is True
-        assert_same_universe(sharded, single, seq=False)
+        assert state.detail["replayed"] == 4 * 10
+        assert_same_universe(sharded, single, monitors=False, seq=False)
+
+        # Re-anchor as `stream --resume` does: checkpoint the new ring,
+        # then prune — the unlabeled chain is read once, never written.
+        snapshotter = ShardedSnapshotter(sharded, snapdir, every=0)
+        snapshotter.checkpoint()
+        pruned = snapshotter.prune_foreign()
+        snapshotter.close()
+        assert sorted(map(os.path.basename, pruned)) == [
+            f"snapshot-{seq:012d}.npz", f"wal-{seq:012d}.log"]
+        assert chain_kinds(snapdir) == {("snapshot", 0), ("snapshot", 1),
+                                        ("wal", 0), ("wal", 1)}
+
+        fresh_router, fresh = make_sharded(bundle_dir, workers=2)
+        second = fresh.restore_from(snapdir)
+        assert second.detail["resharded"] is False
+        assert_same_universe(fresh, sharded)
+        fresh_router.close()
+        ring_router.close()
         router.close()
-        service.close()
 
     def test_wal_replay_covers_post_checkpoint_ticks(self, bundle_dir,
                                                      walk, tmp_path):
@@ -436,8 +485,8 @@ class TestShardedDurability:
         pruned = snapshotter.prune_foreign()
         snapshotter.close()
         assert pruned  # shards 2 and 3 left chains behind
-        assert snapshot_shards(snapdir) == [0, 1]
-        assert wal_shards(snapdir) == [0, 1]
+        assert chain_kinds(snapdir) == {("snapshot", 0), ("snapshot", 1),
+                                        ("wal", 0), ("wal", 1)}
 
         # The next resume is faithful — no stale-label merge.
         fresh_router, fresh = make_sharded(bundle_dir, workers=2)
