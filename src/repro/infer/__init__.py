@@ -1,4 +1,4 @@
-"""``repro.infer`` — tape-free compiled inference engine.
+"""``repro.infer`` — tape-free compiled forwards.
 
 The paper's efficiency claim (Section IV-E) is that *only the
 lightweight student* runs at inference.  This package takes that to its
@@ -15,8 +15,16 @@ streaming, sharded and HTTP layers) builds one per resident model.
 ``TimeKDForecaster.predict``/``evaluate`` and ``evaluate_student`` take
 an ``engine`` selector from :data:`ENGINES` (``"module"`` |
 ``"compiled"``) so tests and the CLI can run either forward.
+
+The frozen CLM is the other compiled forward.  Its output is only ever
+stored (paper Section IV-B, "embeddings storage"), so
+``CalibratedLanguageModel.forward`` encodes prompts through
+:func:`encode_pooled`: the same emitters over cache-sized row blocks,
+with the final layer's elementwise work cut to the pooled row.  It is
+bitwise identical to pooling ``TransformerLM.forward``, which stays for
+pretraining and as the parity oracle.
 """
 
-from .engine import ENGINES, CompiledStudent, resolve_engine
+from .engine import ENGINES, CompiledStudent, encode_pooled, resolve_engine
 
-__all__ = ["ENGINES", "CompiledStudent", "resolve_engine"]
+__all__ = ["ENGINES", "CompiledStudent", "encode_pooled", "resolve_engine"]

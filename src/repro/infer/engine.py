@@ -1,4 +1,4 @@
-"""Tape-free compiled forward for the student hot path.
+"""Tape-free compiled forwards: the student hot path and the CLM encode.
 
 :class:`CompiledStudent` exports a fitted
 :class:`~repro.core.student.StudentModel` into a flat, pure-numpy
@@ -35,6 +35,13 @@ the module's backing arrays by default, so compiling is cheap.  Derived
 constants (the RevIN denominator, the probe-verified fused QKV
 projection) are snapshotted at compile time — rebuild the engine after
 mutating weights in place (``TimeKDForecaster.compile(force=True)``).
+
+The same emitters (module-level ``emit_*`` functions) also build
+:func:`encode_pooled`, the frozen CLM's prompt encode, which holds the
+same bitwise contract against pooling ``TransformerLM.forward``.  It
+compiles per call instead: a handful of encodes per fit amortize a tape
+build, and reading the backbone's weights each time follows any
+``load_state_dict``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import numpy as np
 
 from ..nn.buffers import ScratchPool, donate
 
-__all__ = ["ENGINES", "CompiledStudent", "resolve_engine"]
+__all__ = ["ENGINES", "CompiledStudent", "encode_pooled", "resolve_engine"]
 
 #: Forward implementations ``TimeKDForecaster.predict``/``evaluate`` and
 #: ``evaluate_student`` accept: the autograd module path (the parity
@@ -388,10 +395,6 @@ class CompiledStudent:
         def emit(fn, *args):
             ops.append(partial(fn, *args))
 
-        def emit_reduce(ufunc, src, axis, out):
-            # ufunc.reduce(array, axis, dtype, out, keepdims)
-            emit(ufunc.reduce, src, axis, None, out, True)
-
         def emit_gemm(src, weight, out):
             # (B, N, D) @ (D, K) batched matmul: numpy issues one small
             # (N, D) GEMM per window.  One (B*N, D) GEMM over the whole
@@ -400,36 +403,15 @@ class CompiledStudent:
             # stalls ~8 ms where the single-threaded call takes ~0.04 ms.
             emit(np.matmul, src, weight, out)
 
-        def emit_mean(src, axis, out, count):
-            # np.add.reduce + divide-by-count is exactly what np.mean
-            # runs internally — same bits, none of the Python wrapper
-            # overhead.  np.var == this mean, a centered square, and
-            # the same reduce/divide again.
-            emit_reduce(np.add, src, axis, out)
-            emit(np.true_divide, out, count, out)
-
-        def emit_layer_norm(src, gamma, beta, eps):
-            # Op-for-op mirror of norm._fused_layer_norm's forward:
-            # x_hat = (x - mean) * 1/sqrt(var + eps), then affine.
-            # (np.reciprocal is correctly-rounded division, bitwise
-            # equal to the module's ``1.0 / sqrt`` — both binary32
-            # quotients of the same operands.)
-            emit_mean(src, -1, p.red, self._n_model)
-            emit(np.subtract, src, p.red, p.normed)
-            emit(np.multiply, p.normed, p.normed, p.sq_nd)
-            emit_mean(p.sq_nd, -1, p.red, self._n_model)
-            emit(np.add, p.red, eps, p.red)
-            emit(np.sqrt, p.red, p.red)
-            emit(np.reciprocal, p.red, p.red)
-            emit(np.multiply, p.normed, p.red, p.normed)
-            emit(np.multiply, p.normed, gamma, p.normed)
-            emit(np.add, p.normed, beta, p.normed)
+        def emit_norm(gamma, beta, eps):
+            emit_layer_norm(emit, p.tokens, p.normed, gamma, beta, eps,
+                            self._n_model, p.red, p.sq_nd)
 
         # RevIN normalize (statistics over time, per instance/variable).
-        emit_mean(p.x, 1, p.mean, self._n_time)
+        emit_mean(emit, p.x, 1, p.mean, self._n_time)
         emit(np.subtract, p.x, p.mean, p.norm)
         emit(np.multiply, p.norm, p.norm, p.sq_hn)
-        emit_mean(p.sq_hn, 1, p.std, self._n_time)
+        emit_mean(emit, p.sq_hn, 1, p.std, self._n_time)
         emit(np.add, p.std, self._revin_eps, p.std)
         emit(np.sqrt, p.std, p.std)
         emit(np.divide, p.norm, p.std, p.norm)
@@ -444,8 +426,7 @@ class CompiledStudent:
         # Pre-LN encoder stack.
         last = len(self._layers) - 1
         for index, layer in enumerate(self._layers):
-            emit_layer_norm(p.tokens, layer.ln1_g, layer.ln1_b,
-                            layer.ln1_eps)
+            emit_norm(layer.ln1_g, layer.ln1_b, layer.ln1_eps)
             if fused_qkv:
                 emit_gemm(p.normed, layer.wqkv, p.qkv)
                 emit(np.add, p.qkv, layer.bqkv, p.qkv)
@@ -458,27 +439,19 @@ class CompiledStudent:
                 emit_gemm(p.normed, layer.wv, p.v3)
                 emit(np.add, p.v3, layer.bv, p.v3)
                 qh, kh_t, vh = p.qh, p.kh_t, p.vh
-            emit(np.matmul, qh, kh_t, p.scores)
-            emit(np.multiply, p.scores, layer.scale, p.scores)
-            # Numerically stable softmax, in place.
-            emit_reduce(np.maximum, p.scores, -1, p.score_red)
-            emit(np.subtract, p.scores, p.score_red, p.scores)
-            emit(np.exp, p.scores, p.scores)
-            emit_reduce(np.add, p.scores, -1, p.score_red)
-            emit(np.divide, p.scores, p.score_red, p.scores)
+            emit_attention(emit, qh, kh_t, vh, layer.scale, p.scores,
+                           p.score_red, p.context, p.merged)
             if need_attention and index == last:
-                # Head average via sum * (1/heads), matching Tensor.mean.
+                # Head average of the softmax weights still in
+                # ``scores``, via sum * (1/heads) like Tensor.mean.
                 emit(np.add.reduce, p.scores, 1, None, p.attention)
                 emit(np.multiply, p.attention, self._head_mean,
                      p.attention)
-            emit(np.matmul, p.scores, vh, p.context)
-            emit(np.copyto, p.merged4, p.context_t)
             emit_gemm(p.merged, layer.wo, p.sub_out)
             emit(np.add, p.sub_out, layer.bo, p.sub_out)
             emit(np.add, p.tokens, p.sub_out, p.tokens)
 
-            emit_layer_norm(p.tokens, layer.ln2_g, layer.ln2_b,
-                            layer.ln2_eps)
+            emit_norm(layer.ln2_g, layer.ln2_b, layer.ln2_eps)
             emit_gemm(p.normed, layer.w1, p.hidden)
             emit(np.add, p.hidden, layer.b1, p.hidden)
             if layer.activation == "relu":
@@ -486,13 +459,12 @@ class CompiledStudent:
                 emit(np.greater, p.hidden, _ZERO, p.mask)
                 emit(np.multiply, p.hidden, p.mask, p.hidden)
             else:
-                _emit_gelu(emit, p.hidden, p.gelu_inner)
+                emit_gelu(emit, p.hidden, p.gelu_inner)
             emit_gemm(p.hidden, layer.w2, p.sub_out)
             emit(np.add, p.sub_out, layer.b2, p.sub_out)
             emit(np.add, p.tokens, p.sub_out, p.tokens)
 
-        emit_layer_norm(p.tokens, self._final_g, self._final_b,
-                        self._final_eps)
+        emit_norm(self._final_g, self._final_b, self._final_eps)
 
         # Projection head + RevIN de-normalization.
         emit_gemm(p.normed, self._w_head, p.projected)
@@ -538,7 +510,7 @@ class _Views:
     __slots__ = ("x", "mean", "std", "norm", "norm_t", "sq_hn", "tokens",
                  "normed", "red", "sq_nd", "q3", "k3", "v3", "qh", "kh_t",
                  "vh", "qkv", "qh_f", "kh_tf", "vh_f", "scores",
-                 "score_red", "context", "context_t", "merged", "merged4",
+                 "score_red", "context", "merged",
                  "sub_out", "hidden", "mask", "gelu_inner", "attention",
                  "projected", "projected_t", "prediction")
 
@@ -581,9 +553,7 @@ class _Views:
         self.scores = take("scores", heads, N, N)
         self.score_red = take("score_red", heads, N, 1)
         self.context = take("context", heads, N, hd)
-        self.context_t = self.context.transpose(0, 2, 1, 3)
         self.merged = take("merged", N, D)
-        self.merged4 = self.merged.reshape(B, N, heads, hd)
         self.sub_out = take("sub_out", N, D)
         self.hidden = take("hidden", N, F)
         self.mask = take("mask", N, F, dtype=bool)
@@ -596,13 +566,104 @@ class _Views:
         self.prediction = take("prediction", M, N)
 
 
+# ----------------------------------------------------------------------
+# emitters: op-for-op mirrors of the module forwards, shared by the
+# student tape above and the CLM encode below.  Each appends pre-bound
+# ufunc/GEMM calls through ``emit(fn, *args)`` and writes only into the
+# buffers it is handed.
+# ----------------------------------------------------------------------
 _GELU_CUBIC = _const(0.044715)
 _GELU_SQRT_2_OVER_PI = _const(math.sqrt(2.0 / math.pi))
-_GELU_ONE = _const(1.0)
+_ONE = _const(1.0)
 _GELU_HALF = _const(0.5)
+_ALL = slice(None)
 
 
-def _emit_gelu(emit, x: np.ndarray, inner: np.ndarray) -> None:
+def emit_reduce(emit, ufunc, src, axis, out) -> None:
+    # ufunc.reduce(array, axis, dtype, out, keepdims)
+    emit(ufunc.reduce, src, axis, None, out, True)
+
+
+def emit_mean(emit, src, axis, out, count) -> None:
+    """np.add.reduce + divide-by-count, exactly what np.mean runs
+    internally: same bits, none of the Python wrapper overhead.  np.var
+    is this mean, a centered square, and the same reduce/divide again."""
+    emit_reduce(emit, np.add, src, axis, out)
+    emit(np.true_divide, out, count, out)
+
+
+def emit_layer_norm(emit, src, out, gamma, beta, eps, count, red,
+                    sq) -> None:
+    """Mirror of ``norm._fused_layer_norm``'s forward over the last axis:
+    x_hat = (x - mean) * 1/sqrt(var + eps), then affine.  (np.reciprocal
+    is correctly-rounded division, bitwise equal to the module's
+    ``1.0 / sqrt``: both are binary32 quotients of the same operands.)"""
+    emit_mean(emit, src, -1, red, count)
+    emit(np.subtract, src, red, out)
+    emit(np.multiply, out, out, sq)
+    emit_mean(emit, sq, -1, red, count)
+    emit(np.add, red, eps, red)
+    emit(np.sqrt, red, red)
+    emit(np.reciprocal, red, red)
+    emit(np.multiply, out, red, out)
+    emit(np.multiply, out, gamma, out)
+    emit(np.add, out, beta, out)
+
+
+def emit_rms_norm(emit, src, out, gamma, eps, count, red, sq) -> None:
+    """Mirror of ``norm._fused_rms_norm``: x * 1/sqrt(mean(x^2) + eps) * g."""
+    emit(np.multiply, src, src, sq)
+    emit_mean(emit, sq, -1, red, count)
+    emit(np.add, red, eps, red)
+    emit(np.sqrt, red, red)
+    emit(np.reciprocal, red, red)
+    emit(np.multiply, src, red, out)
+    emit(np.multiply, out, gamma, out)
+
+
+def emit_attention(emit, q, k_t, v, scale, scores, red, context, merged,
+                   bias=None, rows=_ALL) -> None:
+    """Softmax attention ``softmax(q k^T * scale + bias) v`` into
+    ``merged``, mirroring ``MultiHeadAttention.forward``.
+
+    ``q``/``v`` are ``(B, heads, S, hd)`` and ``k_t`` its swapped key
+    view, with the module path's strides; ``merged`` is ``(B, S, D)``.
+    ``rows`` limits the elementwise work (scale, ``bias``, softmax, head
+    merge) to a slice of query positions.  Both GEMMs keep their full
+    shapes, so the selected rows are bitwise equal to the full forward.
+    """
+    emit(np.matmul, q, k_t, scores)
+    live, red = scores[..., rows, :], red[..., rows, :]
+    emit(np.multiply, live, scale, live)
+    if bias is not None:
+        emit(np.add, live, bias[..., rows, :], live)
+    # Numerically stable softmax, in place.
+    emit_reduce(emit, np.maximum, live, -1, red)
+    emit(np.subtract, live, red, live)
+    emit(np.exp, live, live)
+    emit_reduce(emit, np.add, live, -1, red)
+    emit(np.divide, live, red, live)
+    emit(np.matmul, scores, v, context)
+    batch, heads, seq, head_dim = context.shape
+    emit(np.copyto, merged.reshape(batch, seq, heads, head_dim)[:, rows],
+         context.transpose(0, 2, 1, 3)[:, rows])
+
+
+def emit_rope(emit, src, cos, sin, out, tmp) -> None:
+    """Rotary embedding of ``(B, heads, S, hd)`` ``src`` into contiguous
+    ``out``, mirroring ``RotaryMultiHeadAttention._rotate`` (even/odd
+    lanes rotated, then interleaved back like its stack + reshape)."""
+    even, odd = src[..., 0::2], src[..., 1::2]
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    emit(np.multiply, even, cos, out_even)
+    emit(np.multiply, odd, sin, tmp)
+    emit(np.subtract, out_even, tmp, out_even)
+    emit(np.multiply, even, sin, out_odd)
+    emit(np.multiply, odd, cos, tmp)
+    emit(np.add, out_odd, tmp, out_odd)
+
+
+def emit_gelu(emit, x: np.ndarray, inner: np.ndarray) -> None:
     """Tanh-approximation GELU mirroring ``repro.nn.functional.gelu``."""
     emit(np.multiply, x, x, inner)
     emit(np.multiply, inner, x, inner)
@@ -610,6 +671,178 @@ def _emit_gelu(emit, x: np.ndarray, inner: np.ndarray) -> None:
     emit(np.add, x, inner, inner)
     emit(np.multiply, inner, _GELU_SQRT_2_OVER_PI, inner)
     emit(np.tanh, inner, inner)
-    emit(np.add, inner, _GELU_ONE, inner)
+    emit(np.add, inner, _ONE, inner)
     emit(np.multiply, x, _GELU_HALF, x)
     emit(np.multiply, x, inner, x)
+
+
+def emit_swiglu(emit, gate, up, sig) -> None:
+    """SwiGLU's ``silu(gate) * up`` into ``gate``, with silu as
+    ``functional.silu`` spells it: ``x * (1.0 / (1.0 + exp(-x)))``."""
+    emit(np.negative, gate, sig)
+    emit(np.exp, sig, sig)
+    emit(np.add, sig, _ONE, sig)
+    emit(np.divide, _ONE, sig, sig)
+    emit(np.multiply, gate, sig, gate)
+    emit(np.multiply, gate, up, gate)
+
+
+# ----------------------------------------------------------------------
+# the frozen CLM's prompt encode
+# ----------------------------------------------------------------------
+#: Score bytes one CLM row block aims at: its ``(rows, heads, S, S)``
+#: float32 attention scores stay near 1 MiB, so every elementwise pass
+#: over them runs in cache.  For the 49-token prompt at 4 heads that is
+#: 32 rows; whole 448-row chunks measured 1.5x slower.
+_CLM_BLOCK_BYTES = 1 << 20
+
+
+def clm_block_rows(seq_len: int, num_heads: int) -> int:
+    """Rows per CLM block: the power of two whose scores are nearest
+    :data:`_CLM_BLOCK_BYTES`."""
+    row_bytes = num_heads * seq_len * seq_len * 4
+    return 1 << max(0, round(math.log2(_CLM_BLOCK_BYTES / row_bytes)))
+
+
+def encode_pooled(backbone, token_ids: np.ndarray,
+                  biases: np.ndarray | None, bias_index: np.ndarray | None,
+                  pooling: str) -> np.ndarray:
+    """Pooled final hidden states ``(N, D)`` of a ``TransformerLM``.
+
+    A tape-free forward, bitwise equal to pooling
+    ``TransformerLM.forward``: rows run one block of
+    :func:`clm_block_rows` at a time through zero-initialized scratch,
+    with the module's GEMM shapes and layouts.  With ``pooling="last"``
+    the final layer's elementwise work (Q bias, RoPE, attention bias,
+    softmax, norms, FFN) covers only the last position; every GEMM
+    keeps its full shape, since a narrower one rounds differently.
+
+    ``biases`` is ``None`` or a ``(P, S, S)`` stack of full additive
+    attention biases (causal mask plus calibration); ``bias_index``
+    gives each row's pattern when ``P > 1``.  Weights are read from
+    ``backbone`` on every call, so a ``load_state_dict`` is followed.
+    """
+    config = backbone.config
+    rows, seq = token_ids.shape
+    if seq > config.max_length:
+        raise ValueError(f"sequence length {seq} exceeds max_length "
+                         f"{config.max_length}")
+    embedding = backbone.token_embedding.weight.data
+    if token_ids.min(initial=0) < 0 or \
+            token_ids.max(initial=0) >= len(embedding):
+        raise IndexError("token id out of range")
+    dim, heads, ffn = config.dim, config.num_heads, config.ffn_dim
+    head_dim = dim // heads
+    capacity = max(1, min(rows, clm_block_rows(seq, heads)))
+    # One pattern's bias broadcasts over every row; several are
+    # gathered into a per-row ``(B, 1, S, S)`` buffer block by block.
+    gathered = biases is not None and len(biases) > 1
+    count = _const(dim)
+    scratch: dict[tuple, np.ndarray] = {}
+
+    def build(B: int):
+        """The tape for ``B`` rows, over ``[:B]`` views of the scratch."""
+        ops: list = []
+
+        def emit(fn, *args):
+            ops.append(partial(fn, *args))
+
+        def take(name, *tail):
+            # Zeroed, not np.empty: the last layer's full-shape GEMMs
+            # also read rows that its row-limited ops never write.
+            key = (name, *tail)
+            if key not in scratch:
+                scratch[key] = np.zeros((capacity, *tail), dtype=np.float32)
+            return scratch[key][:B]
+
+        def split(t):
+            return t.reshape(B, seq, heads, head_dim).transpose(0, 2, 1, 3)
+
+        def linear(module, src, out, live):
+            emit(np.matmul, src, module.weight.data, out)
+            if module.bias is not None:
+                emit(np.add, out[:, live], module.bias.data, out[:, live])
+
+        def norm(module, live):
+            src, out = x[:, live], normed[:, live]
+            red = take("red", seq, 1)[:, live]
+            sq = take("sq", seq, dim)[:, live]
+            eps = _const(module.eps)
+            if config.norm == "rms":
+                emit_rms_norm(emit, src, out, module.gamma.data, eps, count,
+                              red, sq)
+            else:
+                emit_layer_norm(emit, src, out, module.gamma.data,
+                                module.beta.data, eps, count, red, sq)
+
+        x, normed = take("x", seq, dim), take("normed", seq, dim)
+        q, k, v = (take(name, seq, dim) for name in "qkv")
+        merged, out = take("merged", seq, dim), take("out", seq, dim)
+        hidden = take("hidden", seq, ffn)
+        if gathered:
+            bias = take("bias", 1, seq, seq)
+        else:
+            bias = None if biases is None else biases[0]
+        if backbone.positional is not None:
+            emit(np.add, x, backbone.positional.weight.data[:seq], x)
+        final = slice(-1, None) if pooling == "last" else _ALL
+        last = len(backbone.blocks) - 1
+        for index, block in enumerate(backbone.blocks):
+            r = final if index == last else _ALL
+            attention = block.attention
+            norm(block.norm1, _ALL)  # keys and values need every position
+            linear(attention.q_proj, normed, q, r)
+            linear(attention.k_proj, normed, k, _ALL)
+            linear(attention.v_proj, normed, v, _ALL)
+            qh, kh = split(q), split(k)
+            if config.positions == "rope":
+                cos, sin = attention._cos[:seq], attention._sin[:seq]
+                tmp = take("rope", heads, seq, head_dim // 2)
+                q_rot = take("q_rot", heads, seq, head_dim)
+                k_rot = take("k_rot", heads, seq, head_dim)
+                emit_rope(emit, qh[..., r, :], cos[r], sin[r],
+                          q_rot[..., r, :], tmp[..., r, :])
+                emit_rope(emit, kh, cos, sin, k_rot, tmp)
+                qh, kh = q_rot, k_rot
+            emit_attention(
+                emit, qh, kh.transpose(0, 1, 3, 2), split(v),
+                _const(1.0 / math.sqrt(attention.head_dim)),
+                take("scores", heads, seq, seq),
+                take("score_red", heads, seq, 1),
+                take("context", heads, seq, head_dim), merged,
+                bias=bias, rows=r)
+            linear(attention.out_proj, merged, out, r)
+            emit(np.add, x[:, r], out[:, r], x[:, r])
+            norm(block.norm2, r)
+            if config.activation == "swiglu":
+                up = take("up", seq, ffn)
+                linear(block.ffn.gate, normed, hidden, r)
+                linear(block.ffn.up, normed, up, r)
+                emit_swiglu(emit, hidden[:, r], up[:, r],
+                            take("sig", seq, ffn)[:, r])
+                linear(block.ffn.down, hidden, out, r)
+            else:
+                linear(block.ffn.fc1, normed, hidden, r)
+                emit_gelu(emit, hidden[:, r], take("inner", seq, ffn)[:, r])
+                linear(block.ffn.fc2, hidden, out, r)
+            emit(np.add, x[:, r], out[:, r], x[:, r])
+        norm(backbone.final_norm, final)
+        return ops, x, bias[:, 0] if gathered else None, normed
+
+    pooled = np.empty((rows, dim), dtype=np.float32)
+    tapes: dict[int, tuple] = {}
+    for start in range(0, rows, capacity):
+        stop = min(start + capacity, rows)
+        if stop - start not in tapes:
+            tapes[stop - start] = build(stop - start)
+        ops, x, gather, normed = tapes[stop - start]
+        np.take(embedding, token_ids[start:stop], axis=0, out=x)
+        if gather is not None:
+            np.take(biases, bias_index[start:stop], axis=0, out=gather)
+        for op in ops:
+            op()
+        if pooling == "last":
+            np.copyto(pooled[start:stop], normed[:, -1])
+        else:
+            np.mean(normed, axis=1, out=pooled[start:stop])
+    return pooled

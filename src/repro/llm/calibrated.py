@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..infer.engine import encode_pooled
 from ..nn import Module, Tensor, no_grad
 from .backbones import TransformerLM
 from .tokenizer import TokenizedPrompt
@@ -66,12 +67,17 @@ class CalibratedLanguageModel(Module):
     Calling the model with a batched :class:`TokenizedPrompt` of shape
     ``(N, S)`` returns pooled embeddings ``(N, D)``.
 
-    The prompt templates produce only a handful of distinct modality
-    patterns, so the calibrated bias is cached per pattern instead of
-    being rebuilt as a ``(B, 1, S, S)`` block on every call, and rows
-    with identical ``(token_ids, modality)`` are encoded once per batch
-    and scattered back (the backbone is row-independent, so the result
-    is bitwise identical to the duplicated forward).
+    :meth:`forward` runs the compiled encode
+    (:func:`repro.infer.engine.encode_pooled`): a tape-free numpy
+    forward over row blocks whose output equals pooling
+    :meth:`hidden_states`, the module forward, bit for bit.  The prompt
+    templates produce only a handful of distinct modality patterns, so
+    the calibrated bias is cached per pattern, and rows with identical
+    ``(token_ids, modality)`` are encoded once per batch and scattered
+    back.  Every op of the compiled encode, GEMMs included, computes a
+    row with the same kernel and shapes whatever else is in the batch,
+    so the scattered result is bitwise identical to encoding the
+    duplicates.
     """
 
     #: Bound on the per-instance bias cache; templates yield few
@@ -113,36 +119,26 @@ class CalibratedLanguageModel(Module):
             self._bias_cache[key] = bias
         return bias
 
-    def _batched_bias(self, modality: np.ndarray) -> np.ndarray | None:
-        """Additive bias for a ``(B, S)`` modality batch.
+    def _pattern_biases(self, modality: np.ndarray) -> tuple:
+        """Calibrated ``(S, S)`` bias per distinct row of a ``(B, S)``
+        modality batch, plus each row's pattern index.
 
-        With one distinct pattern (the common case: every prompt follows
-        the same template) this is a shared ``(S, S)`` array that
-        broadcasts across batch and heads; only genuinely heterogeneous
-        batches pay for a ``(B, 1, S, S)`` gather.
+        Templates produce a handful of patterns, so every batch shares a
+        few cached arrays; ``(None, None)`` at ``delta == 0``.
         """
         if self.delta <= 0.0:
-            return None
+            return None, None
         patterns, inverse = np.unique(modality, axis=0, return_inverse=True)
-        if len(patterns) == 1:
-            return self._pattern_bias(patterns[0])
-        stacked = np.stack([self._pattern_bias(p) for p in patterns])
-        return stacked[inverse][:, None, :, :]
+        return [self._pattern_bias(p) for p in patterns], inverse
 
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
-    def _encode_hidden(self, token_ids: np.ndarray,
-                       modality: np.ndarray) -> Tensor:
-        bias = self._batched_bias(modality)
-        self.num_sequences += len(token_ids)
-        with no_grad():
-            return self.backbone(token_ids, extra_bias=bias)
-
     def forward(self, prompt: TokenizedPrompt) -> Tensor:
-        """Encode a batched prompt into last-token embeddings ``(N, D)``.
+        """Encode a batched prompt into pooled embeddings ``(N, D)``.
 
-        Runs under ``no_grad``: the backbone is frozen and its outputs
+        Runs the compiled encode (:func:`repro.infer.engine.encode_pooled`):
+        no autograd graph, since the backbone is frozen and its outputs
         are stored as constants for distillation, exactly as the paper's
         embedding storage prescribes.
         """
@@ -159,18 +155,30 @@ class CalibratedLanguageModel(Module):
             modality = np.ascontiguousarray(unique[:, seq_len:])
         else:
             inverse = None
+        self.num_sequences += len(token_ids)
 
-        hidden = self._encode_hidden(token_ids, modality)
-        if self.pooling == "mean":
-            pooled = hidden.data.mean(axis=1)
-        else:
-            pooled = hidden.data[:, -1, :]
+        # One full additive bias per pattern: the backbone's own causal
+        # + calibration sum, so the compiled forward adds the same bits.
+        extras, index = self._pattern_biases(modality)
+        biases = [self.backbone._attention_bias(seq_len, extra)
+                  for extra in (extras or [None])]
+        biases = None if biases[0] is None else np.stack(biases)
+        pooled = encode_pooled(self.backbone, token_ids, biases, index,
+                               self.pooling)
         if inverse is not None:
             pooled = pooled[inverse]
         return Tensor(pooled)
 
     def hidden_states(self, prompt: TokenizedPrompt) -> Tensor:
-        """Full ``(N, S, D)`` hidden states (used in tests/analysis)."""
+        """Full ``(N, S, D)`` hidden states through the module forward.
+
+        The parity oracle of :meth:`forward`: pooling these (``[:, -1]``
+        or ``.mean(axis=1)``) gives the same bits.
+        """
         token_ids = np.atleast_2d(prompt.token_ids)
         modality = np.atleast_2d(prompt.modality)
-        return self._encode_hidden(token_ids, modality).detach()
+        extras, index = self._pattern_biases(modality)
+        extra = None if extras is None else np.stack(extras)[index][:, None]
+        self.num_sequences += len(token_ids)
+        with no_grad():
+            return self.backbone(token_ids, extra_bias=extra).detach()

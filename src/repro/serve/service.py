@@ -201,6 +201,9 @@ class ForecastService:
         "_closed": ("_lock", "_wake"),
     }
 
+    #: Serializes bundle loads across every service in the process.
+    _load_lock = threading.Lock()
+
     def __init__(self, artifact_dir: str, max_models: int = 4,
                  max_batch: int = 64):
         if max_models < 1:
@@ -342,34 +345,44 @@ class ForecastService:
             self.stats.max_coalesced = max(
                 self.stats.max_coalesced, restored.max_coalesced)
 
-    def _get_model(self, key: tuple[str, int]) -> _LoadedModel:
-        """Fetch (loading lazily, LRU-evicting) the model for ``key``."""
+    def _cached_model(self, key: tuple[str, int]) -> _LoadedModel | None:
         with self._lock:
             model = self._models.get(key)
             if model is not None:
                 self._models.move_to_end(key)
+            return model
+
+    def _get_model(self, key: tuple[str, int]) -> _LoadedModel:
+        """Fetch (loading lazily, LRU-evicting) the model for ``key``."""
+        model = self._cached_model(key)
+        if model is not None:
+            return model
+        # Misses load one at a time and re-check the cache first, so a
+        # burst of cold requests reads and compiles each bundle once.
+        # The lock is process-wide because np.load parses .npy headers
+        # with ``ast``, and on CPython 3.11 two threads inside ``ast``
+        # at once can raise SystemError.
+        with self._load_lock:
+            model = self._cached_model(key)
+            if model is not None:
                 return model
-            path = self._paths.get(key)
-        if path is None:
-            raise KeyError(f"no artifact registered for {key!r}")
-        artifact = load_student_artifact(path)
-        student = artifact.build_student()
-        # max_batch doubles as the engine's batch capacity: the one
-        # compile stall happens here, at load time, and no coalesced
-        # batch size can ever trigger a rebuild on the request path.
-        model = _LoadedModel(
-            artifact, CompiledStudent(student, max_batch=self.max_batch))
-        with self._lock:
-            existing = self._models.get(key)
-            if existing is not None:  # lost a concurrent load race
-                self._models.move_to_end(key)
-                return existing
-            self._models[key] = model
-            self._models.move_to_end(key)
-            self.stats.loads += 1
-            while len(self._models) > self.max_models:
-                self._models.popitem(last=False)
-                self.stats.evictions += 1
+            with self._lock:
+                path = self._paths.get(key)
+            if path is None:
+                raise KeyError(f"no artifact registered for {key!r}")
+            artifact = load_student_artifact(path)
+            student = artifact.build_student()
+            # max_batch doubles as the engine's batch capacity: the one
+            # compile stall happens here, at load time, and no coalesced
+            # batch size can ever trigger a rebuild on the request path.
+            model = _LoadedModel(
+                artifact, CompiledStudent(student, max_batch=self.max_batch))
+            with self._lock:
+                self._models[key] = model
+                self.stats.loads += 1
+                while len(self._models) > self.max_models:
+                    self._models.popitem(last=False)
+                    self.stats.evictions += 1
         return model
 
     # ------------------------------------------------------------------

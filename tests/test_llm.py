@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.infer.engine import clm_block_rows
 from repro.llm import (
     BACKBONE_CONFIGS,
     NUMERIC_MODALITY,
@@ -22,6 +23,7 @@ from repro.llm import (
     pretrain_backbone,
 )
 from repro.llm.backbones import RotaryMultiHeadAttention
+from repro.llm.tokenizer import TokenizedPrompt
 from repro.nn import Tensor
 
 
@@ -221,3 +223,83 @@ class TestPretrainingAndCLM:
         plain = CalibratedLanguageModel(tiny_backbone, delta=0.0)(prompt)
         calibrated = CalibratedLanguageModel(tiny_backbone, delta=3.0)(prompt)
         assert np.abs(plain.data - calibrated.data).max() > 1e-5
+
+
+def perturbed_backbone(name: str, vocab: Vocabulary, seed: int):
+    """A backbone with every weight moved off its init (norm gains and
+    biases included), so each op of the forward shows in the output."""
+    backbone = build_backbone(name, vocab=vocab)
+    rng = np.random.default_rng(seed)
+    backbone.load_state_dict({
+        key: value + rng.normal(scale=0.1, size=value.shape)
+        for key, value in backbone.state_dict().items()})
+    return backbone
+
+
+def gt_prompts(vocab: Vocabulary, rows: int, seed: int = 0):
+    """``rows`` distinct ground-truth prompts of the fit's template."""
+    rng = np.random.default_rng(seed)
+    tok = PromptTokenizer(vocab=vocab, value_stride=8)
+    return tok.batch_ground_truth(rng.normal(size=(96, rows)),
+                                  rng.normal(size=(24, rows)))
+
+
+def pooled_oracle(clm, prompt) -> np.ndarray:
+    hidden = clm.hidden_states(prompt).data
+    pooled = hidden[:, -1] if clm.pooling == "last" else hidden.mean(axis=1)
+    return np.ascontiguousarray(pooled)
+
+
+class TestCompiledEncode:
+    """``CalibratedLanguageModel.forward`` runs a tape-free row-block
+    encode; it must equal pooling the module forward bit for bit."""
+
+    @pytest.fixture(scope="class", params=list(BACKBONE_CONFIGS))
+    def backbone(self, request, vocab):
+        return perturbed_backbone(request.param, vocab, seed=1)
+
+    @pytest.mark.parametrize("pooling", ["last", "mean"])
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    @pytest.mark.parametrize("patterns", [1, 2])
+    @pytest.mark.parametrize("size", ["one", "block", "block+1"])
+    def test_matches_pooled_module_forward_bitwise(
+            self, backbone, vocab, pooling, delta, patterns, size):
+        clm = CalibratedLanguageModel(backbone, delta=delta, pooling=pooling)
+        probe = gt_prompts(vocab, 1)
+        block = clm_block_rows(probe.token_ids.shape[1],
+                               backbone.config.num_heads)
+        rows = {"one": 1, "block": block, "block+1": block + 1}[size]
+        prompt = gt_prompts(vocab, rows)
+        token_ids, modality = prompt.token_ids, prompt.modality.copy()
+        if patterns == 2:
+            modality[::2, 1] = 1 - modality[::2, 1]
+        if rows > 1:  # a duplicate of row 0 exercises the dedup scatter
+            token_ids = np.concatenate([token_ids, token_ids[:1]])
+            modality = np.concatenate([modality, modality[:1]])
+        prompt = TokenizedPrompt(token_ids, modality)
+        assert len(np.unique(modality, axis=0)) == min(patterns, rows)
+
+        before = clm.num_sequences
+        encoded = clm(prompt)
+        assert clm.num_sequences - before == rows
+        assert clm.num_forwards == 1
+        assert encoded.data.tobytes() == pooled_oracle(clm, prompt).tobytes()
+
+    def test_encode_follows_load_state_dict(self, vocab):
+        clm = CalibratedLanguageModel(
+            perturbed_backbone("gpt2-tiny", vocab, seed=2), delta=1.0)
+        prompt = gt_prompts(vocab, 5)
+        before = clm(prompt).data.copy()
+        other = perturbed_backbone("gpt2-tiny", vocab, seed=3)
+        clm.backbone.load_state_dict(other.state_dict())
+        after = clm(prompt).data
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == pooled_oracle(clm, prompt).tobytes()
+
+    def test_rejects_out_of_range_tokens_like_the_module(self, tiny_clm):
+        prompt = TokenizedPrompt(np.array([[1, 2, 10**6]]),
+                                 np.zeros((1, 3), dtype=np.int64))
+        with pytest.raises(IndexError, match="out of range"):
+            tiny_clm(prompt)
+        with pytest.raises(IndexError, match="out of range"):
+            tiny_clm.hidden_states(prompt)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core import TimeKDConfig, TimeKDForecaster
 from repro.core.student import StudentModel
 from repro.data import StandardScaler, load_dataset, make_forecasting_data
 from repro.nn import load_arrays
+from repro.serve import service as service_module
 from repro.serve import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
@@ -294,6 +296,51 @@ class TestForecastService:
         expected = student.predict(window[None])[0]
         for r in results:
             np.testing.assert_array_equal(r, expected)
+
+    def test_concurrent_cold_loads_read_each_bundle_once(
+            self, tmp_path, monkeypatch):
+        config, student = make_bundle(os.path.join(tmp_path, "m.npz"))
+        windows = np.random.default_rng(5).normal(
+            size=(8, config.history_length,
+                  config.num_variables)).astype(np.float32)
+        loads: list[str] = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_student_artifact(path)
+
+        monkeypatch.setattr(service_module, "load_student_artifact",
+                            counting_load)
+        barrier = threading.Barrier(len(windows))
+        results: list = [None] * len(windows)
+        errors: list[BaseException] = []
+
+        def client(i):
+            barrier.wait(timeout=30)
+            try:
+                results[i] = service.predict(windows[i])
+            except Exception as error:  # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ForecastService(str(tmp_path)) as service:
+                threads = [threading.Thread(target=client, args=(i,))
+                           for i in range(len(windows))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert service.stats.loads == 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(loads) == 1
+        for window, result in zip(windows, results):
+            assert result.tobytes() == \
+                student.predict(window[None])[0].tobytes()
 
     def test_lru_eviction(self, tmp_path):
         cfg_a, _ = make_bundle(os.path.join(tmp_path, "a.npz"), dataset="A")

@@ -229,6 +229,31 @@ class TestPipelineEquivalence:
         np.testing.assert_array_equal(out.data[4], reference.data[0])
 
 
+    def test_stored_rows_match_module_oracle_bitwise(self, tiny_data,
+                                                     tiny_clm):
+        """The precomputed store holds, row for row, what pooling the
+        module forward over one window's prompts gives."""
+        trainer = TimeKDTrainer(
+            pipeline_config(precompute_embeddings=True,
+                            precompute_chunk_size=32), tiny_data,
+            clm=tiny_clm)
+        trainer.prepare_embeddings()
+        windows = np.arange(len(tiny_data.train))
+        gt_stored, hd_stored = trainer.store.get_batch(windows)
+        factory, horizon = trainer.prompt_factory, trainer.config.horizon
+        lengths = set()
+        for index in windows:
+            history, future = tiny_data.train[index]
+            for prompt, stored in (
+                    (factory.historical(history, horizon), hd_stored),
+                    (factory.ground_truth(history, future), gt_stored)):
+                lengths.add(prompt.token_ids.shape[1])
+                oracle = tiny_clm.hidden_states(prompt).data[:, -1]
+                assert stored[index].tobytes() == \
+                    np.ascontiguousarray(oracle).tobytes()
+        assert len(lengths) == 2  # both prompt lengths ran
+
+
 class TestDiskBackedFit:
     def test_second_fit_reuses_cache_without_clm_forwards(
             self, tiny_data, tiny_clm, tmp_path):
