@@ -253,7 +253,7 @@ class TimeKDTrainer:
                 # same allocations every step (optim.py's contract).
                 optimizer.zero_grad(set_to_none=False)
                 loss.backward()
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
+                clip_grad_norm(optimizer, config.grad_clip)
                 optimizer.step()
                 epoch_loss += loss.item()
                 batches += 1
@@ -296,7 +296,7 @@ class TimeKDTrainer:
                 loss = loss + distill * config.lambda_pkd
                 optimizer.zero_grad(set_to_none=False)
                 loss.backward()
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
+                clip_grad_norm(optimizer, config.grad_clip)
                 optimizer.step()
                 epoch_loss += loss.item()
                 batches += 1
@@ -360,7 +360,7 @@ class TimeKDTrainer:
                 )
                 optimizer.zero_grad(set_to_none=False)
                 loss.backward()
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
+                clip_grad_norm(optimizer, config.grad_clip)
                 optimizer.step()
                 epoch_loss += loss.item()
                 batches += 1

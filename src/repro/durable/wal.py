@@ -126,7 +126,14 @@ class TickWAL:
             os.fsync(self._handle.fileno())
 
     def append(self, seq: int, key, timestamp: float, values) -> None:
-        """Log one accepted tick; durable once this returns."""
+        """Log one accepted tick.
+
+        Two durability levels.  With the default ``fsync=False`` the
+        record is flushed to the OS page cache before this returns, so
+        the tick survives a crash of this process (``kill -9``).  It
+        survives power loss or a kernel crash only with ``fsync=True``,
+        which also forces the record to disk before returning.
+        """
         if self._handle.closed:
             raise WALError(f"WAL {self.path!r} is closed")
         row = np.ascontiguousarray(values, dtype=np.float64)

@@ -71,7 +71,7 @@ def train_forecast_model(
             loss = smooth_l1_loss(prediction, Tensor(future.astype(np.float32)))
             model.zero_grad()
             loss.backward()
-            clip_grad_norm(optimizer.parameters, settings.grad_clip)
+            clip_grad_norm(optimizer, settings.grad_clip)
             optimizer.step()
             epoch_loss += loss.item()
             batches += 1

@@ -54,7 +54,7 @@ def pretrain_backbone(
         loss = cross_entropy(logits, targets)
         optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(optimizer.parameters, 1.0)
+        clip_grad_norm(optimizer, 1.0)
         optimizer.step()
         losses.append(loss.item())
     model.eval()

@@ -1,12 +1,19 @@
-"""Tests for optimizers, schedulers, clipping and serialization."""
+"""Tests for optimizers, schedulers, clipping and serialization.
+
+The flat-buffer optimizers are checked bitwise against the per-tensor
+reference below, which is the loop they replaced.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import pytest
 
+from repro.core import trainer as trainer_module
+from repro.data import load_dataset, make_forecasting_data
 from repro.nn import (
     SGD,
     Adam,
@@ -21,6 +28,270 @@ from repro.nn import (
     load_module,
     save_module,
 )
+from test_training import fast_config
+
+
+# ----------------------------------------------------------------------
+# per-tensor reference: one ufunc loop per listed parameter
+# ----------------------------------------------------------------------
+def _ref_clip_grad_norm(optimizer, max_norm: float) -> float:
+    grads = [p.grad for p in optimizer.parameters if p.grad is not None]
+    total = math.sqrt(sum(
+        float(np.einsum("i,i->", g.ravel(), g.ravel(), dtype=np.float64))
+        for g in grads))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for g in grads:
+            np.multiply(g, scale, out=g)
+    return total
+
+
+class _RefOptimizer:
+    def __init__(self, parameters, lr):
+        self.parameters = [p for p in parameters if p.requires_grad]
+        if not self.parameters:
+            raise ValueError("optimizer received no trainable parameters")
+        self.lr = lr
+
+    def zero_grad(self, set_to_none=True):
+        for p in self.parameters:
+            if set_to_none:
+                p.grad = None
+            elif p.grad is not None:
+                p.grad.fill(0.0)
+
+
+class _RefSGD(_RefOptimizer):
+    def __init__(self, parameters, lr=1e-2, momentum=0.0):
+        super().__init__(parameters, lr)
+        self.momentum = momentum
+        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+
+    def step(self):
+        for p, v in zip(self.parameters, self._velocity):
+            if p.grad is None:
+                continue
+            if self.momentum:
+                v *= self.momentum
+                v += p.grad
+                p.data -= self.lr * v
+            else:
+                p.data -= self.lr * p.grad
+
+
+class _RefAdam(_RefOptimizer):
+    def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0):
+        super().__init__(parameters, lr)
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._scratch = [np.empty_like(p.data) for p in self.parameters]
+        self._update = [np.empty_like(p.data) for p in self.parameters]
+        self._t = 0
+
+    def step(self):
+        self._t += 1
+        bias1 = 1.0 - self.beta1 ** self._t
+        bias2 = 1.0 - self.beta2 ** self._t
+        for p, m, v, scratch, update in zip(
+                self.parameters, self._m, self._v,
+                self._scratch, self._update):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if self.weight_decay:
+                np.multiply(p.data, self.weight_decay, out=scratch)
+                scratch += grad
+                grad = scratch
+            v *= self.beta2
+            np.multiply(grad, grad, out=update)
+            update *= 1.0 - self.beta2
+            v += update
+            m *= self.beta1
+            np.multiply(grad, 1.0 - self.beta1, out=update)
+            m += update
+            np.divide(v, bias2, out=update)
+            np.sqrt(update, out=update)
+            update += self.eps
+            np.divide(m, update, out=update)
+            update *= self.lr / bias1
+            p.data -= update
+
+
+class _RefAdamW(_RefAdam):
+    def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=1e-2):
+        super().__init__(parameters, lr, betas=betas, eps=eps,
+                         weight_decay=0.0)
+        self.decoupled_weight_decay = weight_decay
+
+    def step(self):
+        if self.decoupled_weight_decay:
+            decay = self.lr * self.decoupled_weight_decay
+            for p in self.parameters:
+                if p.grad is not None:
+                    p.data *= 1.0 - decay
+        super().step()
+
+
+#: (flat class, reference class, keyword arguments)
+OPTIMIZERS = [
+    pytest.param(SGD, _RefSGD, {"lr": 0.05}, id="sgd"),
+    pytest.param(SGD, _RefSGD, {"lr": 0.05, "momentum": 0.9},
+                 id="sgd-momentum"),
+    pytest.param(Adam, _RefAdam, {"lr": 0.01}, id="adam"),
+    pytest.param(Adam, _RefAdam, {"lr": 0.01, "weight_decay": 0.1},
+                 id="adam-coupled-decay"),
+    pytest.param(AdamW, _RefAdamW, {"lr": 0.01, "weight_decay": 0.05},
+                 id="adamw"),
+]
+
+#: scalar, vector, matrix and 3-D parameters
+SHAPES = [(), (5,), (3, 4), (2, 3, 4)]
+STEPS = 6
+
+
+def _twin_parameters(seed: int):
+    """Two identical parameter sets: one for each optimizer."""
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape).astype(np.float32)
+              for shape in SHAPES]
+    return ([Parameter(v.copy()) for v in values],
+            [Parameter(v.copy()) for v in values])
+
+
+def _backward(params, step: int, skip=()):
+    """A nonlinear loss over ``params`` (the ones at ``skip`` indices
+    excluded), so each grad depends on the current weights."""
+    rng = np.random.default_rng(1000 + step)
+    loss = None
+    for index, p in enumerate(params):
+        c = Tensor(rng.standard_normal(p.shape).astype(np.float32))
+        if index in skip:
+            continue
+        term = (p * p * c + p).sum()
+        loss = term if loss is None else loss + term
+    loss.backward()
+
+
+def _assert_bitwise(flat_params, ref_params, where: str):
+    for index, (a, b) in enumerate(zip(flat_params, ref_params)):
+        assert a.data.tobytes() == b.data.tobytes(), (
+            f"parameter {index} differs from the per-tensor reference "
+            f"{where}")
+
+
+def _run_pair(flat_opt, ref_opt, flat_params, ref_params, *,
+              set_to_none: bool, max_norm, skip_at=lambda step: (),
+              between=None):
+    for step in range(STEPS):
+        for opt, params in ((flat_opt, flat_params), (ref_opt, ref_params)):
+            opt.zero_grad(set_to_none=set_to_none)
+            _backward(params, step, skip=skip_at(step))
+        if max_norm is not None:
+            norm = clip_grad_norm(flat_opt, max_norm)
+            expected = _ref_clip_grad_norm(ref_opt, max_norm)
+            assert norm == pytest.approx(expected, rel=1e-12, abs=0.0)
+        flat_opt.step()
+        ref_opt.step()
+        _assert_bitwise(flat_params, ref_params, f"after step {step}")
+        if between is not None:
+            between(step)
+
+
+@pytest.mark.parametrize("max_norm", [None, 0.5, 1e9],
+                         ids=["no-clip", "clip-active", "clip-inactive"])
+@pytest.mark.parametrize("set_to_none", [True, False],
+                         ids=["set-to-none", "zero-in-place"])
+@pytest.mark.parametrize("flat_cls,ref_cls,kwargs", OPTIMIZERS)
+class TestFlatParity:
+    """Flat optimizers match the per-tensor loop bit for bit."""
+
+    def test_every_grad_present(self, flat_cls, ref_cls, kwargs,
+                                set_to_none, max_norm):
+        flat_params, ref_params = _twin_parameters(0)
+        _run_pair(flat_cls(flat_params, **kwargs),
+                  ref_cls(ref_params, **kwargs), flat_params, ref_params,
+                  set_to_none=set_to_none, max_norm=max_norm)
+
+    def test_grads_missing_on_some_steps(self, flat_cls, ref_cls,
+                                         kwargs, set_to_none, max_norm):
+        # parameter 1 has no grad on even steps (with set_to_none=False
+        # that is only before its first grad); parameter 3 never has one
+        flat_params, ref_params = _twin_parameters(1)
+        _run_pair(flat_cls(flat_params, **kwargs),
+                  ref_cls(ref_params, **kwargs), flat_params, ref_params,
+                  set_to_none=set_to_none, max_norm=max_norm,
+                  skip_at=lambda step: (3, 1) if step % 2 == 0 else (3,))
+        assert flat_params[3].grad is None
+
+    def test_tensor_listed_twice(self, flat_cls, ref_cls, kwargs,
+                                 set_to_none, max_norm):
+        flat_params, ref_params = _twin_parameters(2)
+        _run_pair(flat_cls(flat_params + flat_params[2:0:-1], **kwargs),
+                  ref_cls(ref_params + ref_params[2:0:-1], **kwargs),
+                  flat_params, ref_params,
+                  set_to_none=set_to_none, max_norm=max_norm)
+
+    def test_frozen_parameter(self, flat_cls, ref_cls, kwargs,
+                              set_to_none, max_norm):
+        flat_params, ref_params = _twin_parameters(3)
+        for params in (flat_params, ref_params):
+            params[0].requires_grad = False
+        flat_opt = flat_cls(flat_params, **kwargs)
+        _run_pair(flat_opt, ref_cls(ref_params, **kwargs),
+                  flat_params, ref_params,
+                  set_to_none=set_to_none, max_norm=max_norm)
+        assert flat_opt.parameters == flat_params[1:]
+        assert flat_params[0].grad is None
+
+    def test_data_rebound_between_steps(self, flat_cls, ref_cls,
+                                        kwargs, set_to_none, max_norm):
+        # load_state_dict rebinds .data; the next step must update the
+        # loaded values, not a stale copy inside the flat buffer
+        rng = np.random.default_rng(4)
+        flat_model, ref_model = Linear(3, 4), Linear(3, 4)
+        ref_model.load_state_dict(flat_model.state_dict())
+        flat_params, ref_params = (flat_model.parameters(),
+                                   ref_model.parameters())
+        snapshot = {name: rng.standard_normal(value.shape).astype(np.float32)
+                    for name, value in flat_model.state_dict().items()}
+
+        def reload(step):
+            if step in (1, 3):
+                flat_model.load_state_dict(snapshot)
+                ref_model.load_state_dict(snapshot)
+
+        _run_pair(flat_cls(flat_params, **kwargs),
+                  ref_cls(ref_params, **kwargs), flat_params, ref_params,
+                  set_to_none=set_to_none, max_norm=max_norm,
+                  between=reload)
+
+
+class TestFlatBuffers:
+    def test_parameters_and_grads_are_views_of_one_buffer(self):
+        params, _ = _twin_parameters(5)
+        opt = AdamW(params, lr=0.01)
+        assert [p.shape for p in params] == SHAPES
+        _backward(params, 0)
+        opt.step()
+        flat, grad = params[0].data.base, params[0].grad.base
+        assert all(p.data.base is flat for p in params)
+        assert all(p.grad.base is grad for p in params)
+        assert flat.size == grad.size == sum(p.size for p in params)
+
+    def test_backward_accumulates_into_bound_grads(self):
+        params, _ = _twin_parameters(6)
+        opt = SGD(params, lr=0.1)
+        _backward(params, 0)
+        opt.step()
+        bound = [p.grad for p in params]
+        opt.zero_grad(set_to_none=False)
+        _backward(params, 1)
+        assert all(p.grad is g for p, g in zip(params, bound))
 
 
 def _quadratic_param(start=5.0):
@@ -109,15 +380,17 @@ class TestOptimizers:
 class TestClipping:
     def test_clip_reduces_norm(self):
         p = Parameter(np.ones(4, np.float32))
+        opt = SGD([p], lr=0.1)
         p.grad = np.full(4, 10.0, np.float32)
-        norm = clip_grad_norm([p], max_norm=1.0)
+        norm = clip_grad_norm(opt, max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-5)
 
     def test_clip_noop_when_small(self):
         p = Parameter(np.ones(2, np.float32))
+        opt = SGD([p], lr=0.1)
         p.grad = np.array([0.1, 0.1], np.float32)
-        clip_grad_norm([p], max_norm=1.0)
+        clip_grad_norm(opt, max_norm=1.0)
         np.testing.assert_allclose(p.grad, [0.1, 0.1])
 
     def test_clip_survives_float32_overflow(self):
@@ -125,8 +398,9 @@ class TestClipping:
         # which would zero every gradient via scale = max_norm / inf;
         # the float64 accumulation must keep the norm finite instead
         p = Parameter(np.ones(4, np.float32))
+        opt = SGD([p], lr=0.1)
         p.grad = np.full(4, 1e20, np.float32)
-        norm = clip_grad_norm([p], max_norm=1.0)
+        norm = clip_grad_norm(opt, max_norm=1.0)
         assert np.isfinite(norm)
         assert norm == pytest.approx(2e20, rel=1e-6)
         assert np.linalg.norm(p.grad.astype(np.float64)) == pytest.approx(
@@ -137,8 +411,9 @@ class TestClipping:
         # the true sum of squares; float64 keeps every increment
         n = 1 << 24
         p = Parameter(np.ones(n, np.float32))
+        opt = SGD([p], lr=0.1)
         p.grad = np.ones(n, np.float32)
-        norm = clip_grad_norm([p], max_norm=np.inf)
+        norm = clip_grad_norm(opt, max_norm=np.inf)
         assert norm == pytest.approx(float(np.sqrt(n)), rel=1e-12)
 
 
@@ -194,3 +469,28 @@ class TestSerialization:
         path = os.path.join(tmp_path, "w.npz")
         save_module(src, path)
         load_module(Linear(2, 2), os.path.join(tmp_path, "w"))
+
+
+class TestTrainerParity:
+    def test_joint_fit_matches_per_tensor_reference(self, tiny_clm,
+                                                    monkeypatch):
+        # the joint fit lists the shared projection head twice and
+        # clips every step: the flat AdamW must reproduce the loop
+        data = make_forecasting_data(load_dataset("ETTm1", length=600),
+                                     history_length=96, horizon=24)
+
+        def fit():
+            trainer = trainer_module.TimeKDTrainer(fast_config(), data,
+                                                   clm=tiny_clm)
+            trainer.fit()
+            return [p.data.copy() for p in
+                    trainer.teacher.parameters() + trainer.student.parameters()]
+
+        flat = fit()
+        monkeypatch.setattr(trainer_module, "AdamW", _RefAdamW)
+        monkeypatch.setattr(trainer_module, "clip_grad_norm",
+                            _ref_clip_grad_norm)
+        reference = fit()
+        assert len(flat) == len(reference)
+        for index, (a, b) in enumerate(zip(flat, reference)):
+            assert a.tobytes() == b.tobytes(), f"parameter {index} differs"
