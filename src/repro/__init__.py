@@ -13,7 +13,7 @@ Sub-packages: :mod:`repro.nn` (autograd + layers), :mod:`repro.llm`
 (backbones, tokenizer, calibrated LM), :mod:`repro.data` (datasets,
 windows, prompts), :mod:`repro.core` (TimeKD), :mod:`repro.serve`
 (deployable student artifacts + batched serving), :mod:`repro.stream`
-(online ingestion + drift-aware re-forecasting), :mod:`repro.baselines`,
+(online ingestion + cadence-driven re-forecasting), :mod:`repro.baselines`,
 :mod:`repro.eval`, :mod:`repro.experiments`.
 """
 

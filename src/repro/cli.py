@@ -552,8 +552,7 @@ def _cmd_stream(args) -> int:
               f"series in {total_s:.3f}s "
               f"({total_ticks / max(total_s, 1e-9):.1f} ticks/s), "
               f"{stream['forecasts']} forecasts, "
-              f"{stream['gaps']} gaps ({stream['filled']} rows filled), "
-              f"{stream['alarmed']} drift alarm(s)")
+              f"{stream['gaps']} gaps ({stream['filled']} rows filled)")
         print(f"service: {serve['batches']} batches, "
               f"mean batch {serve['mean_batch']:.2f}, "
               f"max coalesced {serve['max_coalesced']}")

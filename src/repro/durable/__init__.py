@@ -1,9 +1,9 @@
 """``repro.durable`` — crash-safe persistence for the streaming layer.
 
 The streaming subsystem (:mod:`repro.stream`) holds every per-series
-ring buffer, Welford scaler, CUSUM drift monitor and cached forecast in
-process memory; this package makes that universe survive a crash
-without bending the repo's bitwise replay-parity guarantee:
+ring buffer, cadence counter and cached forecast in process memory;
+this package makes that universe survive a crash without bending the
+repo's bitwise replay-parity guarantee:
 
 * :mod:`~repro.durable.snapshot` — versioned, sha256-digested ``.npz``
   snapshots of one shard's :class:`~repro.stream.StreamingForecaster`

@@ -47,7 +47,8 @@ __all__ = [
 
 #: Config fields that define *identity*: restoring across a difference
 #: in any of these would change window contents or grid semantics.
-#: Cadence/fallback/drift settings are policy knobs and may differ.
+#: Any other field (the cadence; the fallback and drift settings that
+#: older snapshots still carry) is policy and may differ.
 STRICT_CONFIG_FIELDS = (
     "dataset", "horizon", "input_len", "horizon_len", "num_variables",
     "interval", "policy", "max_gap", "capacity", "raw_values",

@@ -1,21 +1,24 @@
 """Versioned, digest-verified snapshots of the streaming universe.
 
 A snapshot is one ``.npz`` archive capturing everything
-:meth:`StreamingForecaster.export_state` knows — ring buffers, Welford
-statistics, CUSUM drift accumulators, cadence counters, issued-forecast
-caches, stream/service stats and the append sequence number — written
-with the same atomic-write + sha256-digest idiom as the student
-artifact bundles (:mod:`repro.serve.artifact`):
+:meth:`StreamingForecaster.export_state` knows — ring buffers, cadence
+counters, latest forecasts, stream/service stats and the append
+sequence number — written with the same atomic-write + sha256-digest
+idiom as the student artifact bundles (:mod:`repro.serve.artifact`):
 
     __format__        int, bumped on breaking layout changes
     __config__        JSON of StreamingForecaster.durable_config()
     __meta__          JSON: seq, per-key scalars, stats, provenance
     __digest__        sha256 over every other entry (corruption check)
-    s{i}/...          per-key arrays (buffer, stats, drift windows,
-                      cached forecasts — dtypes preserved exactly)
+    s{i}/buffer       per-key ring buffer
+    s{i}/latest       per-key latest forecast, when one was issued
+                      (dtype preserved exactly)
 
 Scalars live in the JSON blocks (Python's float repr round-trips
 exactly), arrays as native npz entries, so a restore is bitwise.
+Archives written before drift monitoring was removed also carry
+running statistics, drift state and issued forecasts per key; the
+reader ignores them.
 
 :class:`StreamSnapshotter` attaches to a live forecaster and adds the
 two checkpoint policies — on-demand :meth:`~StreamSnapshotter.checkpoint`
@@ -87,18 +90,10 @@ def write_snapshot(path: str, state: dict, *, artifact_digest=None,
         prefix = f"s{index}/"
         series = entry["series"]
         payload[prefix + "buffer"] = np.asarray(series["buffer"])
-        payload[prefix + "mean"] = np.asarray(series["mean"])
-        payload[prefix + "m2"] = np.asarray(series["m2"])
-        drift = entry["drift"]
-        payload[prefix + "drift_abs"] = np.asarray(drift["abs_errors"])
-        payload[prefix + "drift_sq"] = np.asarray(drift["sq_errors"])
-        # Cached forecasts keep their own entries (not stacked): the
-        # student serves float32 while the naive fallback emits float64,
-        # and a restore must preserve each dtype exactly.
+        # The latest forecast keeps its dtype: float32 from the student,
+        # float64 once a raw-value stream's scaler inverts it.
         if entry["latest"] is not None:
             payload[prefix + "latest"] = np.asarray(entry["latest"])
-        for j, (_, forecast) in enumerate(entry["issued"]):
-            payload[prefix + f"issued{j}"] = np.asarray(forecast)
         meta_entries.append({
             "key": encode_key(entry["key"]),
             "series": {
@@ -110,19 +105,7 @@ def write_snapshot(path: str, state: dict, *, artifact_digest=None,
             "last_timestamp": entry["last_timestamp"],
             "gaps": int(entry["gaps"]),
             "pending_ticks": int(entry["pending_ticks"]),
-            "alarm_counted": bool(entry["alarm_counted"]),
-            "drift": {
-                "window": int(drift["window"]),
-                "calibration": int(drift["calibration"]),
-                "threshold": float(drift["threshold"]),
-                "slack": float(drift["slack"]),
-                "count": int(drift["count"]),
-                "reference": drift["reference"],
-                "cusum": float(drift["cusum"]),
-                "alarmed": bool(drift["alarmed"]),
-            },
             "has_latest": entry["latest"] is not None,
-            "issued_at": [int(at) for at, _ in entry["issued"]],
         })
     meta = {
         "seq": int(state["seq"]),
@@ -198,22 +181,12 @@ def state_from_arrays(arrays: dict, config: dict, meta: dict) -> dict:
                     "capacity": int(series_meta["capacity"]),
                     "count": int(series_meta["count"]),
                     "buffer": arrays[prefix + "buffer"],
-                    "mean": arrays[prefix + "mean"],
-                    "m2": arrays[prefix + "m2"],
                 },
                 "last_timestamp": entry_meta["last_timestamp"],
                 "gaps": int(entry_meta["gaps"]),
                 "pending_ticks": int(entry_meta["pending_ticks"]),
-                "alarm_counted": bool(entry_meta["alarm_counted"]),
-                "drift": {
-                    **entry_meta["drift"],
-                    "abs_errors": arrays[prefix + "drift_abs"],
-                    "sq_errors": arrays[prefix + "drift_sq"],
-                },
                 "latest": (arrays[prefix + "latest"]
                            if entry_meta["has_latest"] else None),
-                "issued": [(int(at), arrays[prefix + f"issued{j}"])
-                           for j, at in enumerate(entry_meta["issued_at"])],
             }
         except KeyError as error:
             raise SnapshotError(

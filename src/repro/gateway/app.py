@@ -435,13 +435,18 @@ class Gateway:
             raise _Invalid(400, "'history' is required: a (H, N) nested "
                                 "list of floats")
         try:
-            history = np.asarray(payload["history"], dtype=np.float32)
+            # Overflow is refused below, as inf, not warned about.
+            with np.errstate(over="ignore"):
+                history = np.asarray(payload["history"], dtype=np.float32)
         except (TypeError, ValueError):
             raise _Invalid(400, "'history' must be a rectangular nested "
                                 "list of numbers") from None
         if history.ndim != 2:
             raise _Invalid(400, f"'history' must be 2-dimensional "
                                 f"(H, N), got shape {history.shape}")
+        if not np.isfinite(history).all():
+            raise _Invalid(400, "'history' carries non-finite value(s) "
+                                "(NaN, inf or beyond float32)")
         dataset, horizon = self._parse_common(payload)
         raw = bool(payload.get("raw_values", False))
         return history, dataset, horizon, raw

@@ -3,8 +3,8 @@
 :class:`ShardedStreamingForecaster` looks like one
 :class:`~repro.stream.forecaster.StreamingForecaster` but owns N of
 them — one per :class:`~repro.shard.worker.ShardWorker`, each with its
-own ring buffers, drift monitors, ingest lock, sequence counter and
-micro-batch queue.  Ticks route by stream key through the router's
+own ring buffers, ingest lock, sequence counter and micro-batch queue.
+Ticks route by stream key through the router's
 :class:`~repro.shard.ring.HashRing`, so a key's entire history lives on
 exactly one shard and per-key ordering needs no cross-shard locking.
 Drain is naturally parallel: each shard's service thread coalesces and
@@ -13,17 +13,18 @@ forwards without sharing a lock.
 
 **Why sharding cannot change a forecast.**  The per-worker engine is
 the unmodified :class:`StreamingForecaster`; routing only decides
-*which* instance ingests a tick.  A key's window content, cadence
-boundaries and drift state depend only on that key's own ticks — which
-all land on one shard, in arrival order — and the student forward is
-batch-independent, so what other keys share the shard's batches is
-value-irrelevant.  Hence an N-worker replay is **bitwise identical** to
+*which* instance ingests a tick.  A key's window content and cadence
+boundaries depend only on that key's own ticks — which all land on one
+shard, in arrival order — and the student forward is batch-independent,
+so what other keys share the shard's batches is value-irrelevant.  Hence an N-worker replay is **bitwise identical** to
 the 1-worker run, which is exactly what ``--verify`` asserts end to
 end.  With one worker (the default deployment) this front end is the
 whole topology: the ring returns shard 0 without hashing.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from ..stream.forecaster import StreamingForecaster, StreamStats
 from .router import ShardRouter
@@ -43,8 +44,8 @@ class ShardedStreamingForecaster:
         Model registry key, resolved like :class:`StreamingForecaster`.
     **forecaster_kwargs:
         Forwarded verbatim to every per-shard
-        :class:`StreamingForecaster` (cadence, gap policy, drift
-        parameters, ...), so all shards run the identical policy.
+        :class:`StreamingForecaster` (cadence, gap policy, ...), so
+        all shards run the identical policy.
     """
 
     def __init__(self, router: ShardRouter, dataset: str | None = None,
@@ -89,12 +90,6 @@ class ShardedStreamingForecaster:
     def state(self, key):
         return self._owner(key).state(key)
 
-    def monitor(self, key):
-        return self._owner(key).monitor(key)
-
-    def reset_drift(self, key) -> None:
-        self._owner(key).reset_drift(key)
-
     def drop(self, key) -> None:
         self._owner(key).drop(key)
 
@@ -103,12 +98,6 @@ class ShardedStreamingForecaster:
         for shard in self.shards:
             found.extend(shard.keys())
         return found
-
-    def alarmed_keys(self) -> list:
-        alarmed = []
-        for shard in self.shards:
-            alarmed.extend(shard.alarmed_keys())
-        return alarmed
 
     @property
     def service(self) -> ShardRouter:
@@ -142,24 +131,12 @@ class ShardedStreamingForecaster:
         summed counters) with a ``workers`` field added; per-shard
         breakdowns come from :meth:`shard_snapshots` when skew matters.
         """
-        merged = StreamStats()
-        seq = series = alarmed = 0
+        names = [field.name for field in fields(StreamStats)]
+        stream = dict.fromkeys(names + ["seq", "series"], 0)
         for shard in self.shards:
             part = shard.snapshot()["stream"]
-            merged.ticks += part["ticks"]
-            merged.rows += part["rows"]
-            merged.filled += part["filled"]
-            merged.gaps += part["gaps"]
-            merged.forecasts += part["forecasts"]
-            merged.fallbacks += part["fallbacks"]
-            merged.drift_alarms += part["drift_alarms"]
-            seq += part["seq"]
-            series += part["series"]
-            alarmed += part["alarmed"]
-        stream = merged.as_dict()
-        stream["seq"] = seq
-        stream["series"] = series
-        stream["alarmed"] = alarmed
+            for name in stream:
+                stream[name] += part[name]
         stream["workers"] = len(self.shards)
         return {"stream": stream,
                 "service": self.router.snapshot().as_dict()}

@@ -1,17 +1,15 @@
-"""``repro.stream`` — online ingestion and drift-aware re-forecasting.
+"""``repro.stream`` — online ingestion and cadence-driven re-forecasting.
 
 The third layer of the serving stack (embedding store → artifact
 serving → **streaming**): live ticks flow through a validated
 :class:`StreamIngestor` into fixed-capacity per-series ring buffers
-(:class:`SeriesState`), a :class:`StreamingForecaster` re-forecasts on
-a configurable cadence through the existing
-:class:`~repro.serve.ForecastService` micro-batching queue, and a
-per-series :class:`DriftMonitor` flags streams whose realized errors
-walk away from calibration.  The :func:`replay` harness proves the
-whole stack is bitwise identical to offline batch prediction.
+(:class:`SeriesState`), and a :class:`StreamingForecaster` re-forecasts
+on a configurable cadence through the existing
+:class:`~repro.serve.ForecastService` micro-batching queue.  The
+:func:`replay` harness proves the whole stack is bitwise identical to
+offline batch prediction.
 """
 
-from .drift import DriftMonitor
 from .forecaster import StreamingForecaster, StreamStats
 from .ingest import (
     GAP_POLICIES,
@@ -24,7 +22,6 @@ from .replay import ReplayParityError, ReplayReport, replay, verify_parity
 from .state import SeriesState
 
 __all__ = [
-    "DriftMonitor",
     "StreamingForecaster",
     "StreamStats",
     "GAP_POLICIES",

@@ -3,8 +3,9 @@
 :class:`StreamIngestor` is the front door of the streaming subsystem.
 It owns one :class:`~repro.stream.state.SeriesState` per ``(tenant,
 series)`` key, validates every tick at the boundary (monotonic
-timestamps, finite values, aligned intervals), and turns sampling gaps
-into explicit policy decisions instead of silent misalignment:
+timestamps, values the float32 student can represent, aligned
+intervals), and turns sampling gaps into explicit policy decisions
+instead of silent misalignment:
 
 * ``"error"`` — raise :class:`StreamGapError` (default: gaps are bugs);
 * ``"ffill"`` — repeat the last observation into the missing ticks;
@@ -27,6 +28,10 @@ GAP_POLICIES = ("error", "ffill", "interpolate")
 
 #: Tolerated fractional deviation of a tick from the sampling grid.
 _ALIGNMENT_TOLERANCE = 1e-6
+
+#: Largest magnitude a tick may carry: windows are cast to float32 for
+#: the student, and anything larger would become inf there.
+_MAX_VALUE = float(np.finfo(np.float32).max)
 
 
 class StreamError(ValueError):
@@ -189,8 +194,8 @@ class StreamIngestor:
         Raises
         ------
         StreamError
-            Non-finite values, wrong shape, non-monotonic or
-            grid-misaligned timestamps.
+            Non-finite values (NaN, inf, or beyond the float32 range),
+            wrong shape, non-monotonic or grid-misaligned timestamps.
         StreamGapError
             Missing ticks under ``policy="error"``, or a gap longer
             than ``max_gap`` under any policy.
@@ -206,11 +211,14 @@ class StreamIngestor:
                 f"got {values.shape}")
         if len(values) == 0:
             return IngestResult(observed=0, filled=0)
-        if not np.isfinite(values).all():
-            bad = int((~np.isfinite(values)).sum())
+        # One pass covers NaN (every comparison is False), inf and
+        # values that would overflow the float32 cast.
+        representable = np.abs(values) <= _MAX_VALUE
+        if not representable.all():
+            bad = int((~representable).sum())
             raise StreamError(
                 f"tick at {timestamp} for {key!r} carries {bad} "
-                f"non-finite value(s)")
+                f"non-finite value(s) (NaN, inf or beyond float32)")
 
         timestamp = float(timestamp)
         stream = self._stream_for(key)

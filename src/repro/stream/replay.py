@@ -122,8 +122,8 @@ def verify_parity(report: ReplayReport, forecaster: StreamingForecaster,
     against the streamed forecast.  Returns the number of forecasts
     compared; raises :class:`ReplayParityError` on the first mismatch.
 
-    Only meaningful for gap-free replays without naive fallbacks (both
-    intentionally change forecast values).
+    Only meaningful for gap-free replays (a gap policy intentionally
+    changes the windows).
     """
     if isinstance(values, MultivariateTimeSeries):
         values = values.values

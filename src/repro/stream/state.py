@@ -1,20 +1,16 @@
-"""Per-series rolling state: fixed-capacity ring buffer + running stats.
+"""Per-series rolling state: a fixed-capacity ring buffer.
 
 :class:`SeriesState` holds the trailing observations of one streamed
 series in a *doubled* ring buffer: every row is written at physical
 index ``i`` and ``i + capacity``, so any trailing window of up to
 ``capacity`` rows is one contiguous slice — :meth:`window` returns a
 zero-copy view regardless of where the write head sits.  Appends are
-O(1) (two row writes), and Welford-style running mean/std track every
-value ever ingested so raw-value streams can be re-scaled consistently
-with the bundled :class:`~repro.data.scaler.StandardScaler`.
+O(1) (two row writes).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..data.scaler import StandardScaler
 
 __all__ = ["SeriesState"]
 
@@ -35,7 +31,7 @@ class SeriesState:
     """
 
     __slots__ = ("input_len", "num_variables", "capacity", "count",
-                 "_buffer", "_mean", "_m2")
+                 "_buffer")
 
     def __init__(self, input_len: int, num_variables: int,
                  capacity: int | None = None):
@@ -57,27 +53,13 @@ class SeriesState:
         # + capacity, making every trailing window contiguous.
         self._buffer = np.empty((2 * self.capacity, self.num_variables),
                                 dtype=np.float64)
-        self._mean = np.zeros(self.num_variables, dtype=np.float64)
-        self._m2 = np.zeros(self.num_variables, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
     def append(self, row: np.ndarray) -> None:
         """O(1) append of one ``(N,)`` observation."""
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (self.num_variables,):
-            raise ValueError(
-                f"row must have shape ({self.num_variables},), "
-                f"got {row.shape}")
-        slot = self.count % self.capacity
-        self._buffer[slot] = row
-        self._buffer[slot + self.capacity] = row
-        self.count += 1
-        # Welford update, vectorized across variables.
-        delta = row - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (row - self._mean)
+        self.extend(np.asarray(row, dtype=np.float64)[None])
 
     def extend(self, rows: np.ndarray) -> None:
         """Append ``(T, N)`` rows in one vectorized pass."""
@@ -95,19 +77,10 @@ class SeriesState:
         slots = (base + np.arange(len(tail))) % self.capacity
         self._buffer[slots] = tail
         self._buffer[slots + self.capacity] = tail
-        # Chan et al. parallel-Welford merge of the chunk statistics.
-        n_b = len(rows)
-        mean_b = rows.mean(axis=0)
-        m2_b = ((rows - mean_b) ** 2).sum(axis=0)
-        n_a = self.count
-        total = n_a + n_b
-        delta = mean_b - self._mean
-        self._mean += delta * (n_b / total)
-        self._m2 += m2_b + delta ** 2 * (n_a * n_b / total)
-        self.count = total
+        self.count += len(rows)
 
     # ------------------------------------------------------------------
-    # views and stats
+    # views
     # ------------------------------------------------------------------
     @property
     def ready(self) -> bool:
@@ -141,19 +114,6 @@ class SeriesState:
         """Most recent observation row (copy)."""
         return self.tail(1, copy=True)[0]
 
-    @property
-    def mean(self) -> np.ndarray:
-        """Running per-variable mean over every ingested row."""
-        return self._mean.copy()
-
-    @property
-    def std(self) -> np.ndarray:
-        """Running per-variable population std (``ddof=0``), matching
-        :meth:`StandardScaler.fit` semantics."""
-        if self.count == 0:
-            return np.zeros(self.num_variables, dtype=np.float64)
-        return np.sqrt(np.maximum(self._m2 / self.count, 0.0))
-
     # ------------------------------------------------------------------
     # durable state
     # ------------------------------------------------------------------
@@ -171,8 +131,6 @@ class SeriesState:
             "capacity": self.capacity,
             "count": self.count,
             "buffer": self._buffer.copy(),
-            "mean": self._mean.copy(),
-            "m2": self._m2.copy(),
         }
 
     @classmethod
@@ -188,29 +146,6 @@ class SeriesState:
         count = int(state["count"])
         if count < 0:
             raise ValueError(f"series count must be >= 0, got {count}")
-        mean = np.asarray(state["mean"], dtype=np.float64)
-        m2 = np.asarray(state["m2"], dtype=np.float64)
-        if mean.shape != restored._mean.shape or m2.shape != restored._m2.shape:
-            raise ValueError("series running stats have the wrong shape")
         restored._buffer[:] = buffer
-        restored._mean[:] = mean
-        restored._m2[:] = m2
         restored.count = count
         return restored
-
-    def running_scaler(self, eps: float = 1e-8) -> StandardScaler:
-        """A fitted :class:`StandardScaler` from the running statistics.
-
-        The drift path uses this when a series' live distribution walks
-        away from the artifact's train-time scaler: re-scaling with the
-        stream's own statistics restores z-scored inputs without
-        refitting offline.
-        """
-        if self.count == 0:
-            raise RuntimeError("no rows ingested yet")
-        std = self.std
-        return StandardScaler.from_state({
-            "mean": self._mean,
-            "std": np.where(std < eps, 1.0, std),
-            "eps": np.float64(eps),
-        })

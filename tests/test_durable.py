@@ -110,15 +110,73 @@ def checkpoint(forecaster, snapdir) -> str:
     return path
 
 
+def key_state(forecaster, key) -> tuple:
+    """Everything a key holds besides its ring: last timestamp, gap
+    count, pending ticks and the latest forecast's dtype and bytes."""
+    shard = forecaster._owner(key)
+    latest = shard.latest(key)
+    return (shard.ingestor.last_timestamp(key), shard.ingestor.gaps(key),
+            shard._pending[key],
+            None if latest is None else (latest.dtype, latest.tobytes()))
+
+
+#: Config entries snapshots and WAL headers carried while drift
+#: monitoring existed (its defaults).
+DRIFT_CONFIG = {"fallback_naive": False,
+                "drift": {"window": 64, "calibration": 16,
+                          "threshold": 8.0, "slack": 0.5}}
+
+
+def add_drift_state(arrays: dict) -> None:
+    """Rewrite snapshot ``arrays`` into the layout written while drift
+    monitoring existed: Welford moments, drift windows and an issued
+    forecast per key, the drift meta fields, the fallback/drift config
+    entries and the two drift counters; then re-digest."""
+    config = json.loads(str(arrays["__config__"]))
+    config.update(DRIFT_CONFIG)
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["stream_stats"].update(fallbacks=0, drift_alarms=1)
+    for index, entry in enumerate(meta["entries"]):
+        prefix = f"s{index}/"
+        count = entry["series"]["count"]
+        arrays[prefix + "mean"] = np.full(N, 0.5)
+        arrays[prefix + "m2"] = np.full(N, 2.0 * count)
+        arrays[prefix + "drift_abs"] = np.array([0.75, 1.25])
+        arrays[prefix + "drift_sq"] = np.array([0.5, 1.5])
+        entry["alarm_counted"] = index == 0
+        entry["drift"] = {**DRIFT_CONFIG["drift"], "count": 2,
+                          "reference": None, "cusum": 0.0,
+                          "alarmed": index == 0}
+        entry["issued_at"] = []
+        if entry["has_latest"]:
+            arrays[prefix + "issued0"] = arrays[prefix + "latest"].copy()
+            entry["issued_at"] = [count - entry["pending_ticks"]]
+    arrays["__config__"] = np.array(json.dumps(config, sort_keys=True))
+    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    arrays["__digest__"] = np.array(
+        arrays_digest(arrays, skip=("__digest__",)))
+
+
+def assert_current_layout(path: str) -> None:
+    """The snapshot at ``path`` holds only a ring and a latest forecast
+    per key, and no drift field anywhere."""
+    arrays = load_arrays(path)
+    members = {name.split("/", 1)[1] for name in arrays if "/" in name}
+    assert members <= {"buffer", "latest"}
+    assert not set(DRIFT_CONFIG) & set(json.loads(str(arrays["__config__"])))
+    meta = json.loads(str(arrays["__meta__"]))
+    assert not {"fallbacks", "drift_alarms"} & set(meta["stream_stats"])
+    for entry in meta["entries"]:
+        assert not {"alarm_counted", "drift", "issued_at"} & set(entry)
+
+
 def states_bitwise_equal(a, b):
     assert sorted(map(str, a.keys())) == sorted(map(str, b.keys()))
     for key in a.keys():
         sa, sb = a.state(key), b.state(key)
         assert sa.count == sb.count
         assert sa._buffer.tobytes() == sb._buffer.tobytes()
-        assert sa.mean.tobytes() == sb.mean.tobytes()
-        assert sa._m2.tobytes() == sb._m2.tobytes()
-        assert a.monitor(key).as_dict() == b.monitor(key).as_dict()
+        assert key_state(a, key) == key_state(b, key)
     assert a.snapshot()["stream"] == b.snapshot()["stream"]
     assert a.seq == b.seq
 
@@ -679,16 +737,33 @@ class TestSnapshotFormat:
             self, bundle_dir, walk, tmp_path):
         # Snapshots written before the engine/precision options were
         # removed carry both keys in __meta__; they must still import.
+        def stamp(arrays):
+            meta = json.loads(str(arrays["__meta__"]))
+            meta.update(engine="compiled", precision="float32")
+            arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+            arrays["__digest__"] = np.array(
+                arrays_digest(arrays, skip=("__digest__",)))
+
+        self.recover_rewritten(bundle_dir, walk, tmp_path, stamp)
+
+    def test_snapshot_with_drift_state_recovers(self, bundle_dir, walk,
+                                                tmp_path):
+        # Snapshots written while drift monitoring existed carry its
+        # state; the reader ignores it and the next checkpoint drops it.
+        restored = self.recover_rewritten(bundle_dir, walk, tmp_path,
+                                          add_drift_state)
+        assert_current_layout(checkpoint(restored, str(tmp_path / "next")))
+
+    @staticmethod
+    def recover_rewritten(bundle_dir, walk, tmp_path, rewrite):
+        """Checkpoint 40 ticks, ``rewrite`` the archive's arrays in
+        place, and recover it bitwise → the restored forecaster."""
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=40)
         snapdir = str(tmp_path / "snaps")
         path = checkpoint(forecaster, snapdir)
         arrays = load_arrays(path)
-        meta = json.loads(str(arrays["__meta__"]))
-        meta.update(engine="compiled", precision="float32")
-        arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-        arrays["__digest__"] = np.array(
-            arrays_digest(arrays, skip=("__digest__",)))
+        rewrite(arrays)
         save_arrays(path, arrays)
 
         service2, restored = make_forecaster(bundle_dir)
@@ -698,3 +773,36 @@ class TestSnapshotFormat:
         states_bitwise_equal(forecaster, restored)
         service.close()
         service2.close()
+        return restored
+
+    def test_wal_header_with_drift_config_bootstraps(self, bundle_dir,
+                                                     walk, tmp_path):
+        # WAL segments written while drift monitoring existed carry the
+        # fallback/drift settings in their header config: policy fields
+        # recovery does not compare.
+        snapdir = str(tmp_path / "snaps")
+        service, victim = make_forecaster(bundle_dir)
+        ShardedSnapshotter(victim, snapdir, every=0)
+        replay(victim, walk, max_ticks=40)
+        service.close()
+        ((_, path),) = wal_paths(snapdir, shard=0)
+        with open(path, "rb") as handle:
+            magic, header, records = handle.read().split(b"\n", 2)
+        header = json.loads(header)
+        header["config"].update(DRIFT_CONFIG)
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join([
+                magic, json.dumps(header, sort_keys=True).encode(),
+                records]))
+
+        service, recovered = make_forecaster(bundle_dir)
+        state = recovered.restore_from(snapdir)
+        assert state.detail["replayed"] == 40
+        assert recovered.seq == victim.seq
+        for key in victim.keys():
+            ring = victim.state(key)
+            assert recovered.state(key).tail(L).tobytes() == \
+                ring.tail(L).tobytes()
+            assert key_state(recovered, key) == key_state(victim, key)
+        assert_current_layout(checkpoint(recovered, str(tmp_path / "next")))
+        service.close()

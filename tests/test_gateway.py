@@ -29,6 +29,7 @@ import pytest
 from repro.core import TimeKDConfig
 from repro.core.student import StudentModel
 from repro.data import StandardScaler
+from repro.durable import ShardedSnapshotter, read_wal, wal_paths
 from repro.gateway import (
     INGEST_UNITS,
     MAX_BODY_BYTES,
@@ -45,6 +46,7 @@ from repro.gateway import (
     write_keys_file,
 )
 from repro.gateway import server as gateway_server
+from repro.infer import CompiledStudent
 from repro.serve import ForecastService, save_student_artifact
 from repro.shard import ShardRouter
 
@@ -462,6 +464,78 @@ class TestGatewayHandlers:
         forecaster = gateway.forecaster_for()
         assert forecaster.state(("acme", "s1")).count == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e39])
+    def test_unrepresentable_predict_costs_nothing(self, gateway, history,
+                                                   bad):
+        # 1e39 is finite JSON but inf in the student's float32
+        window = history.tolist()
+        window[3][1] = bad
+        tenant_key = gateway.authenticate("k-acme")
+        gateway.account_for(tenant_key)  # the pool at its issued size
+        response = gateway.predict(tenant_key, {"history": window})
+        assert response.status == 400
+        assert "non-finite" in response.payload["error"]
+        usage = usage_of(gateway, "acme")
+        assert usage["remaining"] == 1000 and usage["reserved"] == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), 1e39])
+    def test_unrepresentable_ticks_change_nothing(self, gateway, rng, bad):
+        tenant_key = gateway.authenticate("k-acme")
+        tick = rng.normal(size=N).tolist()
+        assert gateway.ingest(tenant_key, {
+            "series": "s1", "timestamp": 0.0,
+            "values": tick}).status == 200
+        forecaster = gateway.forecaster_for()
+
+        def observed():
+            return (forecaster.state(("acme", "s1")).count, forecaster.seq,
+                    usage_of(gateway, "acme")["remaining"])
+
+        before = observed()
+        tick[1] = bad
+        response = gateway.ingest(tenant_key, {
+            "series": "s1", "timestamp": 1.0, "values": [tick, tick]})
+        assert response.status == 400
+        assert "non-finite" in response.payload["error"]
+        assert observed() == before
+
+    def test_nan_forecasts_never_half_ingest(self, artifact_dir, keys_path,
+                                             tmp_path, monkeypatch):
+        # A student answering NaN must not stop ticks from landing
+        # whole: every tick is answered 200, and ring, seq and WAL agree
+        # and recover bitwise.
+        def nan_predict(self, history):
+            return np.full((len(history), M, N), np.nan, dtype=np.float32)
+
+        monkeypatch.setattr(CompiledStudent, "predict", nan_predict)
+        snapdir = str(tmp_path / "snaps")
+        ticks = np.random.default_rng(0).normal(size=(L + 2 * M, N))
+        key = ("acme", "s1")
+        with ShardRouter(artifact_dir) as router:
+            gateway = Gateway(router, ApiKeyRegistry(keys_path))
+            forecaster = gateway.forecaster_for()
+            tenant_key = gateway.authenticate("k-acme")
+            with ShardedSnapshotter(forecaster, snapdir, every=0):
+                for index, tick in enumerate(ticks):
+                    response = gateway.ingest(tenant_key, {
+                        "series": "s1", "timestamp": float(index),
+                        "values": tick.tolist(), "wait": True})
+                    assert response.status == 200, response.payload
+            assert np.isnan(forecaster.latest(key)).all()
+            records = [record for _, path in wal_paths(snapdir, shard=0)
+                       for record in read_wal(path)[1]]
+            ring = forecaster.state(key)
+            assert ring.count == forecaster.seq == len(records) \
+                == len(ticks)
+            with ShardRouter(artifact_dir) as fresh_router:
+                recovered = Gateway(fresh_router, ApiKeyRegistry(
+                    keys_path)).forecaster_for()
+                recovered.restore_from(snapdir)
+                assert recovered.seq == forecaster.seq
+                held = min(ring.count, ring.capacity)
+                assert recovered.state(key).tail(held).tobytes() == \
+                    ring.tail(held).tobytes()
+
     @pytest.mark.parametrize("payload", [
         {"timestamp": 0.0, "values": [1.0, 2.0, 3.0]},     # no series
         {"series": "", "timestamp": 0.0, "values": [1.0]},  # empty name
@@ -700,6 +774,26 @@ class TestGatewayHTTP:
         assert http(base + "/v1/nowhere", key="k-acme",
                     payload={})[0] == 404
         assert http(base + "/nope")[0] == 404
+
+    def test_unrepresentable_values_are_400_over_sockets(self, live,
+                                                          history, rng):
+        gateway, base = live
+        window = history.tolist()
+        window[0][0] = float("nan")  # json.dumps writes a NaN token
+        status, body, _ = http(base + "/v1/predict", key="k-acme",
+                               payload={"history": window})
+        assert status == 400 and "non-finite" in body["error"]
+        tick = rng.normal(size=N).tolist()
+        assert http(base + "/v1/ingest", key="k-acme", payload={
+            "series": "s", "timestamp": 0.0, "values": tick})[0] == 200
+        tick[2] = 1e39
+        status, body, _ = http(base + "/v1/ingest", key="k-acme", payload={
+            "series": "s", "timestamp": 1.0, "values": tick})
+        assert status == 400 and "non-finite" in body["error"]
+        forecaster = gateway.forecaster_for()
+        assert forecaster.state(("acme", "s")).count == 1
+        assert forecaster.seq == 1
+        assert usage_of(gateway, "acme")["remaining"] == 1000 - INGEST_UNITS
 
     def test_500_never_leaks_exception_text(self, artifact_dir, keys_path,
                                             history, monkeypatch):

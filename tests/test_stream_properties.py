@@ -57,18 +57,6 @@ class TestSeriesStateInvariants:
                                           rows[-tail_len:])
 
     @given(ring_setups())
-    def test_running_stats_match_full_history(self, setup):
-        input_len, capacity, num_variables, rows, chunks = setup
-        state = SeriesState(input_len, num_variables, capacity=capacity)
-        for chunk in chunks:
-            state.extend(chunk)
-        if len(rows):
-            np.testing.assert_allclose(state.mean, rows.mean(axis=0),
-                                       rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(state.std, rows.std(axis=0),
-                                       rtol=1e-7, atol=1e-9)
-
-    @given(ring_setups())
     def test_window_view_never_copies(self, setup):
         input_len, capacity, num_variables, rows, chunks = setup
         state = SeriesState(input_len, num_variables, capacity=capacity)
@@ -99,9 +87,6 @@ class TestSeriesStateRoundTrip:
         assert restored.count == state.count
         assert restored.ready == state.ready
         assert restored.capacity == state.capacity
-        # Welford accumulators restore bitwise, not just approximately
-        assert restored.mean.tobytes() == state.mean.tobytes()
-        assert restored.std.tobytes() == state.std.tobytes()
         assert restored._buffer.tobytes() == state._buffer.tobytes()
         if state.ready:
             assert (restored.window().tobytes()
@@ -125,8 +110,6 @@ class TestSeriesStateRoundTrip:
             state.append(row)
             restored.append(row)
             assert restored._buffer.tobytes() == state._buffer.tobytes()
-            assert restored.mean.tobytes() == state.mean.tobytes()
-            assert restored.std.tobytes() == state.std.tobytes()
         assert restored.count == state.count
 
     @given(ring_setups())
