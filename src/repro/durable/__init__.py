@@ -5,14 +5,18 @@ ring buffer, cadence counter and cached forecast in process memory;
 this package makes that universe survive a crash without bending the
 repo's bitwise replay-parity guarantee:
 
-* :mod:`~repro.durable.snapshot` — versioned, sha256-digested ``.npz``
-  snapshots of one shard's :class:`~repro.stream.StreamingForecaster`
-  state, written atomically; :class:`StreamSnapshotter` adds on-demand
-  and every-N-ticks checkpoint policies for that shard.
-* :mod:`~repro.durable.wal` — an append-only tick log covering the
-  ticks between checkpoints (write-behind, CRC-framed, torn-tail
-  aware), and the one file-naming scheme: every file written is
-  ``snapshot-{shard}-{seq}.npz`` or ``wal-{shard}-{seq}.log``.
+* :mod:`~repro.durable.snapshot` — versioned, sha256-digested,
+  columnar ``.npz`` snapshots of one shard's
+  :class:`~repro.stream.StreamingForecaster` state (one array per
+  field, each ring stored once), written atomically;
+  :class:`StreamSnapshotter` adds on-demand and every-N-ticks
+  checkpoint policies for that shard.
+* :mod:`~repro.durable.wal` — an append-only binary tick log covering
+  the ticks between checkpoints (write-behind, CRC-framed, torn-tail
+  aware, each key encoded once per segment), and the one file-naming
+  scheme: every file written is ``snapshot-{shard}-{seq}.npz`` or
+  ``wal-{shard}-{seq}.log``.  Both read the format-1 layouts of earlier
+  builds and write only format 2.
 * :mod:`~repro.durable.shard` — the snapshotter and the recoverer of
   a deployment (:mod:`repro.shard`, one worker by default):
   :class:`ShardedSnapshotter` keeps one chain per shard (a snapshot

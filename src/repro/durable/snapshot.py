@@ -1,24 +1,37 @@
 """Versioned, digest-verified snapshots of the streaming universe.
 
 A snapshot is one ``.npz`` archive capturing everything
-:meth:`StreamingForecaster.export_state` knows — ring buffers, cadence
-counters, latest forecasts, stream/service stats and the append
-sequence number — written with the same atomic-write + sha256-digest
-idiom as the student artifact bundles (:mod:`repro.serve.artifact`):
+:meth:`StreamingForecaster.export_state` knows about one shard — ring
+buffers, cadence counters, latest forecasts, stream/service stats and
+the append sequence number — written with the same atomic-write +
+sha256-digest idiom as the student artifact bundles
+(:mod:`repro.serve.artifact`).  Format 2 is columnar: one array per
+field across the shard's K keys, in key-table order::
 
     __format__        int, bumped on breaking layout changes
     __config__        JSON of StreamingForecaster.durable_config()
-    __meta__          JSON: seq, per-key scalars, stats, provenance
+    __meta__          JSON: seq, key table, last timestamps, stats,
+                      provenance
     __digest__        sha256 over every other entry (corruption check)
-    s{i}/buffer       per-key ring buffer
-    s{i}/latest       per-key latest forecast, when one was issued
-                      (dtype preserved exactly)
+    rings             (K, capacity, N) float64, each ring stored once
+    counts            (K,) rows each ring has taken
+    gaps              (K,) gap events per key
+    pending           (K,) ticks since each key's last forecast
+    has_latest        (K,) whether a latest forecast was issued
+    latest            the issued latest forecasts stacked, in key
+                      order (dtype preserved exactly; absent if none)
 
-Scalars live in the JSON blocks (Python's float repr round-trips
-exactly), arrays as native npz entries, so a restore is bitwise.
-Archives written before drift monitoring was removed also carry
-running statistics, drift state and issued forecasts per key; the
-reader ignores them.
+The key table (:func:`~repro.durable.keys.encode_key` payloads) and
+the last timestamps live in the JSON block, where Python's float repr
+round-trips exactly, so a restore is bitwise.  A ring is stored once
+(``capacity`` rows): the second half of the doubled buffer only repeats
+the first, and :meth:`SeriesState.from_state` writes both halves back.
+
+Format 1 — per-key ``s{i}/buffer`` (the whole doubled buffer) and
+``s{i}/latest`` entries with per-key scalars in ``__meta__`` — is still
+read, never written.  Format-1 archives written before drift monitoring
+was removed also carry running statistics, drift state and issued
+forecasts per key; the reader ignores them.
 
 :class:`StreamSnapshotter` attaches to a live forecaster and adds the
 two checkpoint policies — on-demand :meth:`~StreamSnapshotter.checkpoint`
@@ -52,7 +65,9 @@ __all__ = [
 ]
 
 #: Bump when the archive layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
+#: Every format this build reads.
+_READABLE_FORMATS = (1, 2)
 
 
 class SnapshotError(RuntimeError):
@@ -76,44 +91,54 @@ def write_snapshot(path: str, state: dict, *, artifact_digest=None,
     to import into a process serving different ones, and ``shard``
     records which shard produced the state (``None`` in snapshots
     older single-process runs wrote).  Returns the written path
-    (``.npz`` appended when missing).
+    (``.npz`` appended when missing).  Raises :class:`SnapshotError`
+    when the latest forecasts mix dtypes, rather than upcast them.
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
+    entries = state["entries"]
+    config = state["config"]
+    ring_shape = (int(config["capacity"]), int(config["num_variables"]))
+    rings = np.zeros((len(entries),) + ring_shape, dtype=np.float64)
+    for row, entry in zip(rings, entries):
+        buffer = entry["series"]["buffer"]
+        if np.shape(buffer) != ring_shape:
+            raise SnapshotError(
+                f"ring of {entry['key']!r} has shape {np.shape(buffer)}, "
+                f"expected {ring_shape}")
+        row[:] = buffer
+    latest = [entry["latest"] for entry in entries
+              if entry["latest"] is not None]
     payload: dict[str, np.ndarray] = {
         "__format__": np.int64(SNAPSHOT_FORMAT_VERSION),
-        "__config__": np.array(
-            json.dumps(state["config"], sort_keys=True)),
+        "__config__": np.array(json.dumps(config, sort_keys=True)),
+        "rings": rings,
+        "counts": np.array([entry["series"]["count"] for entry in entries],
+                           dtype=np.int64),
+        "gaps": np.array([entry["gaps"] for entry in entries],
+                         dtype=np.int64),
+        "pending": np.array([entry["pending_ticks"] for entry in entries],
+                            dtype=np.int64),
+        "has_latest": np.array([entry["latest"] is not None
+                                for entry in entries], dtype=bool),
     }
-    meta_entries = []
-    for index, entry in enumerate(state["entries"]):
-        prefix = f"s{index}/"
-        series = entry["series"]
-        payload[prefix + "buffer"] = np.asarray(series["buffer"])
+    if latest:
         # The latest forecast keeps its dtype: float32 from the student,
         # float64 once a raw-value stream's scaler inverts it.
-        if entry["latest"] is not None:
-            payload[prefix + "latest"] = np.asarray(entry["latest"])
-        meta_entries.append({
-            "key": encode_key(entry["key"]),
-            "series": {
-                "input_len": int(series["input_len"]),
-                "num_variables": int(series["num_variables"]),
-                "capacity": int(series["capacity"]),
-                "count": int(series["count"]),
-            },
-            "last_timestamp": entry["last_timestamp"],
-            "gaps": int(entry["gaps"]),
-            "pending_ticks": int(entry["pending_ticks"]),
-            "has_latest": entry["latest"] is not None,
-        })
+        dtypes = {np.asarray(forecast).dtype for forecast in latest}
+        if len(dtypes) > 1:
+            raise SnapshotError(
+                f"latest forecasts mix dtypes {sorted(map(str, dtypes))}; "
+                f"stacking them would upcast")
+        payload["latest"] = np.stack(latest)
     meta = {
         "seq": int(state["seq"]),
         "artifact_digest": artifact_digest,
         "shard": shard,
         "stream_stats": state["stream_stats"],
         "service_stats": state["service_stats"],
-        "entries": meta_entries,
+        "keys": [encode_key(entry["key"]) for entry in entries],
+        "last_timestamps": [entry["last_timestamp"] for entry in entries],
     }
     payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
     payload["__digest__"] = np.array(_snapshot_digest(payload))
@@ -149,10 +174,10 @@ def verify_snapshot(arrays: dict, path: str) -> tuple[dict, dict]:
                 f"{path!r} is not a stream snapshot: missing entry "
                 f"{name!r}")
     version = int(arrays["__format__"])
-    if version != SNAPSHOT_FORMAT_VERSION:
+    if version not in _READABLE_FORMATS:
         raise SnapshotError(
             f"snapshot format {version} of {path!r} is not supported "
-            f"(this build reads format {SNAPSHOT_FORMAT_VERSION})")
+            f"(this build reads formats {_READABLE_FORMATS})")
     if _snapshot_digest(arrays) != str(arrays["__digest__"]):
         raise SnapshotError(
             f"digest mismatch in {path!r}: the snapshot is corrupt or "
@@ -167,7 +192,74 @@ def verify_snapshot(arrays: dict, path: str) -> tuple[dict, dict]:
 
 
 def state_from_arrays(arrays: dict, config: dict, meta: dict) -> dict:
-    """Reassemble the :meth:`export_state`-shaped dict from an archive."""
+    """Reassemble the :meth:`export_state`-shaped dict from an archive
+    of either format."""
+    if int(arrays["__format__"]) == 1:
+        entries = _entries_v1(arrays, meta)
+    else:
+        entries = _entries_v2(arrays, config, meta)
+    return {
+        "seq": int(meta["seq"]),
+        "config": config,
+        "stream_stats": meta["stream_stats"],
+        "service_stats": meta["service_stats"],
+        "entries": entries,
+    }
+
+
+def _entries_v2(arrays: dict, config: dict, meta: dict) -> list:
+    """Per-key entries of a columnar archive; each ring is a view of
+    ``rings`` (the import copies it into both halves)."""
+    try:
+        keys = meta["keys"]
+        last_timestamps = meta["last_timestamps"]
+        input_len = int(config["input_len"])
+        ring_shape = (int(config["capacity"]), int(config["num_variables"]))
+        rings, counts = arrays["rings"], arrays["counts"]
+        gaps, pending = arrays["gaps"], arrays["pending"]
+        has_latest = arrays["has_latest"]
+        latest = arrays["latest"] if has_latest.any() else None
+    except KeyError as error:
+        raise SnapshotError(
+            f"snapshot is missing {error} — truncated or mismatched "
+            f"archive") from error
+    columns = (last_timestamps, rings, counts, gaps, pending, has_latest)
+    if rings.shape[1:] != ring_shape or any(
+            len(column) != len(keys) for column in columns):
+        raise SnapshotError(
+            f"snapshot columns disagree with its {len(keys)}-key table "
+            f"of {ring_shape} rings")
+    if latest is not None and len(latest) != int(has_latest.sum()):
+        raise SnapshotError(
+            f"snapshot holds {len(latest)} latest forecast(s) for "
+            f"{int(has_latest.sum())} flagged key(s)")
+    capacity, num_variables = ring_shape
+    entries = []
+    issued = 0
+    for index, key in enumerate(keys):
+        forecast = None
+        if has_latest[index]:
+            forecast = latest[issued]
+            issued += 1
+        entries.append({
+            "key": decode_key(key),
+            "series": {
+                "input_len": input_len,
+                "num_variables": num_variables,
+                "capacity": capacity,
+                "count": int(counts[index]),
+                "buffer": rings[index],
+            },
+            "last_timestamp": last_timestamps[index],
+            "gaps": int(gaps[index]),
+            "pending_ticks": int(pending[index]),
+            "latest": forecast,
+        })
+    return entries
+
+
+def _entries_v1(arrays: dict, meta: dict) -> list:
+    """Per-key entries of a format-1 archive (``s{i}/`` members)."""
     entries = []
     for index, entry_meta in enumerate(meta["entries"]):
         prefix = f"s{index}/"
@@ -193,13 +285,7 @@ def state_from_arrays(arrays: dict, config: dict, meta: dict) -> dict:
                 f"snapshot entry {index} is missing {error} — truncated "
                 f"or mismatched archive") from error
         entries.append(entry)
-    return {
-        "seq": int(meta["seq"]),
-        "config": config,
-        "stream_stats": meta["stream_stats"],
-        "service_stats": meta["service_stats"],
-        "entries": entries,
-    }
+    return entries
 
 
 # ----------------------------------------------------------------------

@@ -7,18 +7,34 @@ after :meth:`StreamingForecaster.append` accepted it, so replaying the
 log re-runs exactly the ticks the dead process had already ingested —
 at-most-once, never a phantom tick.
 
-File layout (``wal-{shard}-{base_seq:012d}.log``)::
+File layout, format 2 (``wal-{shard}-{base_seq:012d}.log``)::
 
     REPRO-TICK-WAL\\n                      magic line
-    {"format": 1, "base_seq": ..., ...}\\n  JSON header (config + digest)
-    TICK <len u32 LE> <crc32 u32 LE> <body>   repeated
-    ...
+    {"format": 2, "base_seq": ..., ...}\\n  JSON header (config + digest)
+    <magic 4B> <len u32 LE> <crc32 u32 LE> <body>   repeated
 
-where each record body is a JSON line ``{"seq", "key", "timestamp",
-"shape"}`` followed by the tick's raw little-endian float64 bytes.  Each
-record is flushed before ``append`` returns; ``durable_size`` tracks the
-byte offset known to have reached the OS, which the fault harness uses
-to simulate a kill between the buffered write and the flush.
+Every record is framed the same way — a 4-byte magic, the body length
+and the CRC32 of the body — and comes in two kinds:
+
+* ``KEYS`` binds a key id to a stream key: body = key id (u32) + the
+  :func:`~repro.durable.keys.encode_key` JSON.  It is written the first
+  time a key appears in a segment, in the same write as that key's
+  first tick, and ids count up from 0 within each segment.
+* ``TICK`` is one accepted tick, fixed-width binary: body = seq (u64),
+  key id (u32), timestamp (f64), ndim (u8), rows (u32), cols (u32),
+  then the ``rows * cols`` raw little-endian float64 values.
+
+So a series' key is encoded once per segment, not once per tick.
+Each append is one ``write`` and one flush before ``append`` returns;
+``durable_size`` adds up the bytes known to have reached the OS, which
+the fault harness uses to simulate a kill between the buffered write
+and the flush.
+
+Format 1 — a ``TICK`` record whose body was a JSON line ``{"seq",
+"key", "timestamp", "shape"}`` followed by the raw values — is still
+read, never written.  Reopening a format-1 segment that holds only its
+header (a ``--resume`` right after a checkpoint written by an older
+build) rewrites it as format 2; one that holds records is refused.
 
 ``read_wal`` is strict: a record whose frame is incomplete or whose
 CRC32 disagrees raises :class:`TornWALError` carrying the offset of the
@@ -36,6 +52,7 @@ import zlib
 
 import numpy as np
 
+from ..persist import atomic_write_bytes
 from .faults import crashpoint
 from .keys import decode_key, encode_key
 
@@ -50,10 +67,17 @@ __all__ = [
     "wal_paths",
 ]
 
-WAL_FORMAT_VERSION = 1
+WAL_FORMAT_VERSION = 2
+#: Every format this build reads.
+_READABLE_FORMATS = (1, 2)
 WAL_MAGIC = b"REPRO-TICK-WAL\n"
 _RECORD_MAGIC = b"TICK"
+_KEYS_MAGIC = b"KEYS"
 _FRAME = struct.Struct("<II")  # body length, crc32 of body
+_FRAME_SIZE = len(_RECORD_MAGIC) + _FRAME.size
+#: Format-2 tick body head: seq, key id, timestamp, ndim, rows, cols.
+_TICK = struct.Struct("<QIdBII")
+_KEY_ID = struct.Struct("<I")
 
 
 class WALError(RuntimeError):
@@ -73,14 +97,18 @@ class TornWALError(WALError):
         self.records = records
 
 
+def _frame(magic: bytes, body: bytes) -> bytes:
+    return magic + _FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
 class TickWAL:
     """Appender for one WAL segment starting at ``base_seq``.
 
-    Opening an existing path appends to it (resume after restart);
-    opening a fresh path writes the magic + header first.  ``config``
-    and ``artifact_digest`` ride in the header so a WAL chain alone —
-    no snapshot yet — is enough to verify compatibility and bootstrap
-    recovery from an empty forecaster.
+    Opening an existing path appends to it (resume after restart),
+    continuing its key table; opening a fresh path writes the magic +
+    header first.  ``config`` and ``artifact_digest`` ride in the
+    header so a WAL chain alone — no snapshot yet — is enough to verify
+    compatibility and bootstrap recovery from an empty forecaster.
     """
 
     def __init__(self, path: str, base_seq: int, *, config=None,
@@ -90,6 +118,8 @@ class TickWAL:
         self.fsync = bool(fsync)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
+        #: Key → id for every key bound by a written ``KEYS`` record.
+        self._ids: dict = {}
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
             # Repair-on-open: appending after a torn record would bury
@@ -97,16 +127,23 @@ class TickWAL:
             # durable ticks at the next recovery.  Trim the torn tail
             # first; refuse files that are damaged beyond that.
             try:
-                header, _ = read_wal(path)
+                header, records, keys = _read_segment(path)
             except TornWALError as torn:
                 with open(path, "r+b") as repair:
                     repair.truncate(torn.good_offset)
-                header, _ = read_wal(path)
+                header, records, keys = _read_segment(path)
             if int(header.get("base_seq", -1)) != self.base_seq:
                 raise WALError(
                     f"{path!r} has base_seq {header.get('base_seq')!r}, "
                     f"expected {self.base_seq}")
-        self._handle = open(path, "ab")
+            if header["format"] != WAL_FORMAT_VERSION:
+                if records:
+                    raise WALError(
+                        f"{path!r} holds format-{header['format']} "
+                        f"records; this build appends only format "
+                        f"{WAL_FORMAT_VERSION}")
+                fresh = True  # header only: rewritten below
+            self._ids = {key: index for index, key in enumerate(keys)}
         if fresh:
             header = {
                 "format": WAL_FORMAT_VERSION,
@@ -114,10 +151,10 @@ class TickWAL:
                 "config": dict(config) if config else {},
                 "artifact_digest": artifact_digest,
             }
-            self._handle.write(WAL_MAGIC)
-            self._handle.write(json.dumps(header, sort_keys=True)
-                               .encode("utf-8") + b"\n")
-            self._flush()
+            atomic_write_bytes(path, WAL_MAGIC + json.dumps(
+                header, sort_keys=True).encode("utf-8") + b"\n",
+                fsync=self.fsync)
+        self._handle = open(path, "ab")
         self.durable_size = os.path.getsize(path)
 
     def _flush(self) -> None:
@@ -126,7 +163,7 @@ class TickWAL:
             os.fsync(self._handle.fileno())
 
     def append(self, seq: int, key, timestamp: float, values) -> None:
-        """Log one accepted tick.
+        """Log one accepted tick (``(N,)``) or tick run (``(T, N)``).
 
         Two durability levels.  With the default ``fsync=False`` the
         record is flushed to the OS page cache before this returns, so
@@ -137,21 +174,31 @@ class TickWAL:
         if self._handle.closed:
             raise WALError(f"WAL {self.path!r} is closed")
         row = np.ascontiguousarray(values, dtype=np.float64)
-        header = {
-            "seq": int(seq),
-            "key": encode_key(key),
-            "timestamp": float(timestamp),
-            "shape": list(row.shape),
-        }
-        body = (json.dumps(header, sort_keys=True).encode("utf-8")
-                + b"\n" + row.tobytes())
+        if row.ndim == 1:
+            rows, cols = 1, row.shape[0]
+        elif row.ndim == 2:
+            rows, cols = row.shape
+        else:
+            raise ValueError(
+                f"a tick must be (N,) or (T, N), got shape {row.shape}")
+        key_id = self._ids.get(key)
+        binds = key_id is None  # the key's first tick in this segment
+        record = b""
+        if binds:
+            key_id = len(self._ids)
+            token = json.dumps(encode_key(key), separators=(",", ":"))
+            record = _frame(_KEYS_MAGIC,
+                            _KEY_ID.pack(key_id) + token.encode("utf-8"))
+        record += _frame(_RECORD_MAGIC, _TICK.pack(
+            int(seq), key_id, float(timestamp), row.ndim, rows, cols)
+            + row.tobytes())
         crashpoint("wal.append")
-        self._handle.write(_RECORD_MAGIC)
-        self._handle.write(_FRAME.pack(len(body), zlib.crc32(body)))
-        self._handle.write(body)
+        self._handle.write(record)
+        if binds:
+            self._ids[key] = key_id  # its KEYS record is written
         crashpoint("wal.fsync")
         self._flush()
-        self.durable_size = self._handle.tell()
+        self.durable_size += len(record)
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -167,13 +214,20 @@ class TickWAL:
 
 
 def read_wal(path: str):
-    """Parse a WAL segment → ``(header, records)``.
+    """Parse a WAL segment (format 1 or 2) → ``(header, records)``.
 
     Each record is ``{"seq", "key", "timestamp", "values"}`` with
     ``values`` a float64 array and ``key`` the decoded Python key.
     Raises :class:`WALError` for structural damage and
     :class:`TornWALError` (carrying the clean prefix) for a torn tail.
     """
+    header, records, _ = _read_segment(path)
+    return header, records
+
+
+def _read_segment(path: str):
+    """:func:`read_wal` plus the segment's key table (decoded keys by
+    id; empty for format 1)."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if not blob.startswith(WAL_MAGIC):
@@ -185,27 +239,29 @@ def read_wal(path: str):
         header = json.loads(blob[len(WAL_MAGIC):newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WALError(f"{path!r} has a corrupt header: {exc}") from exc
-    if header.get("format") != WAL_FORMAT_VERSION:
+    if header.get("format") not in _READABLE_FORMATS:
         raise WALError(
             f"{path!r} has WAL format {header.get('format')!r}, "
-            f"expected {WAL_FORMAT_VERSION}")
+            f"expected one of {_READABLE_FORMATS}")
+    decode = _decode_v1 if header["format"] == 1 else _decode_v2
 
     records: list = []
+    keys: list = []
     offset = newline + 1
-    frame_size = len(_RECORD_MAGIC) + _FRAME.size
     while offset < len(blob):
         good = offset
-        if len(blob) - offset < frame_size:
+        if len(blob) - offset < _FRAME_SIZE:
             raise TornWALError(
                 f"{path!r} ends mid-frame at byte {good}",
                 good_offset=good, records=records)
-        if blob[offset:offset + len(_RECORD_MAGIC)] != _RECORD_MAGIC:
+        magic = blob[offset:offset + len(_RECORD_MAGIC)]
+        length, crc = _FRAME.unpack_from(blob, offset + len(magic))
+        offset += _FRAME_SIZE
+        body = blob[offset:offset + length]
+        if magic not in (_RECORD_MAGIC, _KEYS_MAGIC) or (
+                magic == _KEYS_MAGIC and decode is _decode_v1):
             raise WALError(
                 f"{path!r} has a corrupt record marker at byte {good}")
-        offset += len(_RECORD_MAGIC)
-        length, crc = _FRAME.unpack_from(blob, offset)
-        offset += _FRAME.size
-        body = blob[offset:offset + length]
         if len(body) < length:
             raise TornWALError(
                 f"{path!r} ends mid-record at byte {good}",
@@ -216,32 +272,58 @@ def read_wal(path: str):
                 f"(torn or corrupt record)",
                 good_offset=good, records=records)
         offset += length
-        newline = body.find(b"\n")
-        if newline < 0:
-            raise WALError(
-                f"{path!r} has a record without a header line at {good}")
         try:
-            meta = json.loads(body[:newline].decode("utf-8"))
-            key = decode_key(meta["key"])
-            shape = tuple(int(d) for d in meta["shape"])
+            if magic == _KEYS_MAGIC:
+                (key_id,) = _KEY_ID.unpack_from(body)
+                if key_id != len(keys):
+                    raise ValueError(
+                        f"key id {key_id} bound out of order (next id "
+                        f"is {len(keys)})")
+                keys.append(decode_key(json.loads(
+                    body[_KEY_ID.size:].decode("utf-8"))))
+            else:
+                records.append(decode(body, keys))
         except Exception as exc:
             raise WALError(
                 f"{path!r} has an undecodable record at byte {good}: "
                 f"{exc}") from exc
-        payload = body[newline + 1:]
-        expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        if len(payload) != expected:
-            raise WALError(
-                f"{path!r} record at byte {good} has {len(payload)} "
-                f"payload bytes, expected {expected}")
-        values = np.frombuffer(payload, dtype=np.float64).reshape(shape)
-        records.append({
-            "seq": int(meta["seq"]),
-            "key": key,
-            "timestamp": float(meta["timestamp"]),
-            "values": values.copy(),
-        })
-    return header, records
+    return header, records, keys
+
+
+def _decode_v1(body: bytes, keys: list) -> dict:
+    """A format-1 tick: JSON line header, then the raw values."""
+    newline = body.find(b"\n")
+    if newline < 0:
+        raise ValueError("record has no header line")
+    meta = json.loads(body[:newline].decode("utf-8"))
+    shape = tuple(int(d) for d in meta["shape"])
+    return _record(int(meta["seq"]), decode_key(meta["key"]),
+                   float(meta["timestamp"]), shape, body[newline + 1:])
+
+
+def _decode_v2(body: bytes, keys: list) -> dict:
+    """A format-2 tick: the fixed-width head, then the raw values."""
+    seq, key_id, timestamp, ndim, rows, cols = _TICK.unpack_from(body)
+    if key_id >= len(keys):
+        raise ValueError(f"key id {key_id} has no KEYS record")
+    if ndim == 1 and rows == 1:
+        shape = (cols,)
+    elif ndim == 2:
+        shape = (rows, cols)
+    else:
+        raise ValueError(f"bad tick shape: ndim {ndim}, rows {rows}")
+    return _record(seq, keys[key_id], timestamp, shape,
+                   body[_TICK.size:])
+
+
+def _record(seq, key, timestamp, shape, payload: bytes) -> dict:
+    expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+    if len(payload) != expected:
+        raise ValueError(
+            f"{len(payload)} payload bytes, expected {expected}")
+    values = np.frombuffer(payload, dtype=np.float64).reshape(shape)
+    return {"seq": seq, "key": key, "timestamp": timestamp,
+            "values": values.copy()}
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ Every priced endpoint runs the same pipeline, in this order::
     quota reserve         -> 429                [pool untouched on refusal]
     rate bucket           -> 429  Retry-After   [reservation released]
     enqueue + execute     -> 200  (reservation committed)
+                          -> 400  forecast not finite (released)
                           -> 5xx (reservation released)
 
 The ordering is the load-shedding contract: a ``429``/``503`` happens
@@ -47,6 +48,11 @@ __all__ = ["Gateway", "GatewayStats", "Response"]
 #: other internals, so it never reaches the client; the ``errors``
 #: counter records the failure.
 INTERNAL_ERROR = "internal server error"
+
+#: Why a forecast that overflowed inside the forward is refused: its
+#: NaN/inf values have no place in a JSON body.
+NON_FINITE_FORECAST = ("the forecast is not finite: the window's values "
+                       "overflow the model")
 
 
 @dataclass
@@ -280,13 +286,19 @@ class Gateway:
             reservation.release()
             self._shed("errors")
             return Response(500, {"error": INTERNAL_ERROR})
+        forecast = np.asarray(forecast)
+        if not np.isfinite(forecast).all():
+            # Finite float32 inputs can still overflow in the forward.
+            reservation.release()
+            self._shed("invalid")
+            return Response(400, {"error": NON_FINITE_FORECAST})
         reservation.commit()
         with self._lock:
             self.stats.predicts += 1
         return Response(200, {
             "dataset": model_key[0],
             "horizon": model_key[1],
-            "forecast": np.asarray(forecast).tolist(),
+            "forecast": forecast.tolist(),
             "units": {"spent": self.predict_units,
                       "remaining": account.remaining},
         })
@@ -363,10 +375,15 @@ class Gateway:
         }
         if wait and future is not None:
             try:
-                body["forecast"] = np.asarray(
-                    future.result(timeout=self.request_timeout)).tolist()
+                forecast = np.asarray(
+                    future.result(timeout=self.request_timeout))
             except Exception:  # noqa: BLE001 — ticks landed
                 body["forecast_error"] = INTERNAL_ERROR
+            else:
+                if np.isfinite(forecast).all():
+                    body["forecast"] = forecast.tolist()
+                else:
+                    body["forecast_error"] = NON_FINITE_FORECAST
         return Response(200, body)
 
     def usage(self, tenant_key: TenantKey, tenant: str) -> Response:

@@ -139,7 +139,8 @@ def arrays_digest(arrays: dict, *, skip: tuple = ()) -> str:
     bytes`` so the digest is independent of dict ordering and memory
     layout; names in ``skip`` (e.g. the digest entry itself) are
     excluded.  This is the one digest convention shared by artifact
-    bundles, stream snapshots and weight fingerprints.
+    bundles, stream snapshots and weight fingerprints.  Each array's
+    buffer is hashed in place: no ``tobytes()`` copy, same digest.
     """
     digest = hashlib.sha256()
     skipped = set(skip)
@@ -147,5 +148,5 @@ def arrays_digest(arrays: dict, *, skip: tuple = ()) -> str:
         if name in skipped:
             continue
         digest.update(str(name).encode("utf-8"))
-        digest.update(np.ascontiguousarray(arrays[name]).tobytes())
+        digest.update(np.ascontiguousarray(arrays[name]))
     return digest.hexdigest()

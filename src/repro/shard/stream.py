@@ -20,6 +20,14 @@ so what other keys share the shard's batches is value-irrelevant.  Hence an N-wo
 the 1-worker run, which is exactly what ``--verify`` asserts end to
 end.  With one worker (the default deployment) this front end is the
 whole topology: the ring returns shard 0 without hashing.
+
+**Routing once per series.**  The front end remembers the shard of
+every key a shard has accepted, so a series' ticks skip the ring's
+JSON encoding and hashing after its first one.  The ring never changes
+under a live front end, so the map is a pure cache: each entry equals
+what the ring would answer, and a race between threads can only repeat
+a lookup.  It lives here rather than in the ring so that only accepted
+keys are remembered — a flood of refused series names costs no memory.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ class ShardedStreamingForecaster:
     def __init__(self, router: ShardRouter, dataset: str | None = None,
                  horizon: int | None = None, **forecaster_kwargs):
         self.router = router
+        #: ``key → shard index`` for keys a shard has accepted; ``drop``
+        #: and ``clear`` remove entries.
+        self._routes: dict = {}
         self.shards: list[StreamingForecaster] = []
         for worker in router.workers:
             self.shards.append(StreamingForecaster(
@@ -68,7 +79,8 @@ class ShardedStreamingForecaster:
     # ------------------------------------------------------------------
     def shard_for(self, key) -> int:
         """Ring assignment of a stream key (stable across processes)."""
-        return self.router.ring.shard_for(key)
+        shard = self._routes.get(key)
+        return self.router.ring.shard_for(key) if shard is None else shard
 
     def _owner(self, key) -> StreamingForecaster:
         return self.shards[self.shard_for(key)]
@@ -79,7 +91,15 @@ class ShardedStreamingForecaster:
     def append(self, key, timestamp, values):
         """Ingest one tick on the owning shard (same contract as
         :meth:`StreamingForecaster.append`)."""
-        return self._owner(key).append(key, timestamp, values)
+        shard = self._routes.get(key)
+        if shard is not None:
+            return self.shards[shard].append(key, timestamp, values)
+        shard = self.router.ring.shard_for(key)
+        future = self.shards[shard].append(key, timestamp, values)
+        # Only once the shard accepted the tick: a refused first tick
+        # leaves no entry behind.
+        self._routes[key] = shard
+        return future
 
     def forecast(self, key):
         return self._owner(key).forecast(key)
@@ -92,6 +112,7 @@ class ShardedStreamingForecaster:
 
     def drop(self, key) -> None:
         self._owner(key).drop(key)
+        self._routes.pop(key, None)
 
     def keys(self) -> list:
         found = []
@@ -150,6 +171,7 @@ class ShardedStreamingForecaster:
         """Fail-closed wipe of every shard (recovery uses this)."""
         for shard in self.shards:
             shard.clear()
+        self._routes.clear()
 
     def restore_from(self, directory: str, *, replay_wal: bool = True,
                      strict_wal: bool = True, recoverer=None):

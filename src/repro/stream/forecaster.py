@@ -163,10 +163,20 @@ class StreamingForecaster:
 
     # requires-lock: _lock
     def _issue(self, key, state: SeriesState) -> Future:
+        """Submit ``key``'s window; a refused submit (for example on a
+        closed service) comes back as a failed future, not a raise.
+
+        From :meth:`append` the ring has already taken the tick, so
+        raising here would leave it unsequenced and unlogged.
+        """
         self._pending[key] = 0
-        future = self.service.submit(
-            state.window(), dataset=self.model_key[0],
-            horizon=self.model_key[1], raw_values=self.raw_values)
+        try:
+            future = self.service.submit(
+                state.window(), dataset=self.model_key[0],
+                horizon=self.model_key[1], raw_values=self.raw_values)
+        except Exception as error:  # noqa: BLE001 — surfaced by the future
+            future = Future()
+            future.set_exception(error)
         self.stats.forecasts += 1
         self._latest[key] = future
         return future

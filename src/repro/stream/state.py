@@ -5,7 +5,9 @@ series in a *doubled* ring buffer: every row is written at physical
 index ``i`` and ``i + capacity``, so any trailing window of up to
 ``capacity`` rows is one contiguous slice — :meth:`window` returns a
 zero-copy view regardless of where the write head sits.  Appends are
-O(1) (two row writes).
+O(1) (two row writes).  The buffer starts zeroed, so the two halves are
+always equal: a durable copy (:meth:`SeriesState.export_state`) needs
+only ``capacity`` rows to rebuild the doubled buffer bitwise.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class SeriesState:
         #: Total rows ever appended (not capped by capacity).
         self.count = 0
         # Doubled buffer: row t lives at t % capacity AND t % capacity
-        # + capacity, making every trailing window contiguous.
-        self._buffer = np.empty((2 * self.capacity, self.num_variables),
+        # + capacity, making every trailing window contiguous.  Zeroed,
+        # not empty: slots never written are then equal in both halves.
+        self._buffer = np.zeros((2 * self.capacity, self.num_variables),
                                 dtype=np.float64)
 
     # ------------------------------------------------------------------
@@ -68,6 +71,14 @@ class SeriesState:
             raise ValueError(
                 f"rows must have shape (T, {self.num_variables}), "
                 f"got {rows.shape}")
+        if len(rows) == 1:
+            # One tick, the streaming common case: two row writes, no
+            # index arrays.
+            slot = self.count % self.capacity
+            self._buffer[slot] = rows[0]
+            self._buffer[slot + self.capacity] = rows[0]
+            self.count += 1
+            return
         if len(rows) == 0:
             return
         # Only the trailing `capacity` rows can survive this call;
@@ -120,32 +131,43 @@ class SeriesState:
     def export_state(self) -> dict:
         """Copy of everything needed to rebuild this state bitwise.
 
-        The full doubled buffer is exported (not just the live window):
-        restoring it byte-for-byte keeps every later :meth:`tail` view
-        identical to the uninterrupted process, whatever the write head
-        position.
+        The whole ring is exported (``capacity`` rows, not just the
+        live window), so every later :meth:`tail` view of the restored
+        state is identical to the uninterrupted process, whatever the
+        write head position.  The second half of the doubled buffer
+        only repeats the first and is left out.
         """
         return {
             "input_len": self.input_len,
             "num_variables": self.num_variables,
             "capacity": self.capacity,
             "count": self.count,
-            "buffer": self._buffer.copy(),
+            "buffer": self._buffer[:self.capacity].copy(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "SeriesState":
-        """Rebuild a :class:`SeriesState` from :meth:`export_state`."""
+        """Rebuild a :class:`SeriesState` from :meth:`export_state`.
+
+        ``buffer`` is one ring copy, ``(capacity, N)``, written into
+        both halves in place; the whole doubled ``(2 * capacity, N)``
+        buffer that format-1 snapshots stored is accepted too.
+        """
         restored = cls(int(state["input_len"]), int(state["num_variables"]),
                        capacity=int(state["capacity"]))
         buffer = np.asarray(state["buffer"], dtype=np.float64)
-        if buffer.shape != restored._buffer.shape:
+        single = (restored.capacity, restored.num_variables)
+        if buffer.shape == single:
+            restored._buffer[:restored.capacity] = buffer
+            restored._buffer[restored.capacity:] = buffer
+        elif buffer.shape == restored._buffer.shape:
+            restored._buffer[:] = buffer
+        else:
             raise ValueError(
                 f"series buffer has shape {buffer.shape}, expected "
-                f"{restored._buffer.shape}")
+                f"{single} (or {restored._buffer.shape} in format 1)")
         count = int(state["count"])
         if count < 0:
             raise ValueError(f"series count must be >= 0, got {count}")
-        restored._buffer[:] = buffer
         restored.count = count
         return restored

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -32,9 +34,11 @@ from repro.durable import (
     RecoveryStages,
     ShardedRecoverer,
     ShardedSnapshotter,
+    SnapshotError,
     TickWAL,
     TornWALError,
     WALError,
+    chain_files,
     chain_labels,
     decode_key,
     disarm_all,
@@ -49,7 +53,8 @@ from repro.durable import (
     write_snapshot,
 )
 from repro.durable.faults import torn_tail
-from repro.durable.wal import chain_path
+from repro.durable.snapshot import state_from_arrays, verify_snapshot
+from repro.durable.wal import WAL_MAGIC, chain_path
 from repro.nn.serialization import load_arrays, save_arrays
 from repro.persist import arrays_digest, atomic_write_json
 
@@ -157,17 +162,117 @@ def add_drift_state(arrays: dict) -> None:
         arrays_digest(arrays, skip=("__digest__",)))
 
 
+#: Members of a format-2 snapshot (``latest`` only when one was issued).
+FORMAT2_MEMBERS = {"__format__", "__config__", "__meta__", "__digest__",
+                   "rings", "counts", "gaps", "pending", "has_latest"}
+
+
 def assert_current_layout(path: str) -> None:
-    """The snapshot at ``path`` holds only a ring and a latest forecast
-    per key, and no drift field anywhere."""
+    """The snapshot at ``path`` is format 2: the columnar members only,
+    one ring copy per key, no per-key member and no drift field
+    anywhere."""
     arrays = load_arrays(path)
-    members = {name.split("/", 1)[1] for name in arrays if "/" in name}
-    assert members <= {"buffer", "latest"}
-    assert not set(DRIFT_CONFIG) & set(json.loads(str(arrays["__config__"])))
+    assert int(arrays["__format__"]) == 2
+    assert set(arrays) - {"latest"} == FORMAT2_MEMBERS
+    config = json.loads(str(arrays["__config__"]))
+    assert not set(DRIFT_CONFIG) & set(config)
     meta = json.loads(str(arrays["__meta__"]))
+    assert set(meta) == {"seq", "artifact_digest", "shard", "stream_stats",
+                         "service_stats", "keys", "last_timestamps"}
     assert not {"fallbacks", "drift_alarms"} & set(meta["stream_stats"])
-    for entry in meta["entries"]:
-        assert not {"alarm_counted", "drift", "issued_at"} & set(entry)
+    keys = len(meta["keys"])
+    assert arrays["rings"].shape == (keys, config["capacity"], N)
+    assert len(meta["last_timestamps"]) == keys
+    assert int(arrays["has_latest"].sum()) == (
+        len(arrays["latest"]) if "latest" in arrays else 0)
+
+
+# ----------------------------------------------------------------------
+# format-1 writers: the layouts earlier builds wrote, kept here so the
+# readers' compatibility stays covered
+# ----------------------------------------------------------------------
+def write_snapshot_v1(path: str, state: dict, *, artifact_digest=None,
+                      shard=None) -> str:
+    """Write ``state`` (``export_state`` output) as a format-1 archive:
+    per-key ``s{i}/buffer`` (the whole doubled ring) and ``s{i}/latest``
+    members, per-key scalars in ``__meta__``."""
+    payload = {"__format__": np.int64(1),
+               "__config__": np.array(json.dumps(state["config"],
+                                                 sort_keys=True))}
+    entries = []
+    for index, entry in enumerate(state["entries"]):
+        series = entry["series"]
+        ring = np.asarray(series["buffer"])
+        payload[f"s{index}/buffer"] = np.concatenate([ring, ring])
+        if entry["latest"] is not None:
+            payload[f"s{index}/latest"] = np.asarray(entry["latest"])
+        entries.append({
+            "key": encode_key(entry["key"]),
+            "series": {name: int(series[name]) for name in (
+                "input_len", "num_variables", "capacity", "count")},
+            "last_timestamp": entry["last_timestamp"],
+            "gaps": int(entry["gaps"]),
+            "pending_ticks": int(entry["pending_ticks"]),
+            "has_latest": entry["latest"] is not None,
+        })
+    meta = {"seq": int(state["seq"]), "artifact_digest": artifact_digest,
+            "shard": shard, "stream_stats": state["stream_stats"],
+            "service_stats": state["service_stats"], "entries": entries}
+    payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    payload["__digest__"] = np.array(
+        arrays_digest(payload, skip=("__digest__",)))
+    save_arrays(path, payload)
+    return path
+
+
+def write_wal_v1(path: str, header: dict, records: list) -> None:
+    """Write a format-1 WAL segment: a JSON header whose ``format`` is
+    1, then one ``TICK`` frame per record whose body is a JSON line
+    ``{"seq", "key", "timestamp", "shape"}`` and the raw values."""
+    blob = [WAL_MAGIC, json.dumps(dict(header, format=1),
+                                  sort_keys=True).encode() + b"\n"]
+    for record in records:
+        values = np.ascontiguousarray(record["values"], dtype=np.float64)
+        body = json.dumps({
+            "seq": record["seq"], "key": encode_key(record["key"]),
+            "timestamp": record["timestamp"],
+            "shape": list(values.shape)}, sort_keys=True).encode()
+        body += b"\n" + values.tobytes()
+        blob += [b"TICK", struct.pack("<II", len(body), zlib.crc32(body)),
+                 body]
+    with open(path, "wb") as handle:
+        handle.write(b"".join(blob))
+
+
+def downgrade_to_format1(snapdir: str) -> None:
+    """Rewrite every snapshot and WAL segment in ``snapdir`` in format 1,
+    as a directory left by an earlier build would hold them."""
+    for kind, shard, _, path in chain_files(snapdir):
+        if kind == "snapshot":
+            arrays = load_arrays(path)
+            meta = json.loads(str(arrays["__meta__"]))
+            state = state_from_arrays(arrays, *verify_snapshot(arrays, path))
+            write_snapshot_v1(path, state,
+                              artifact_digest=meta["artifact_digest"],
+                              shard=meta["shard"])
+        else:
+            header, records = read_wal(path)
+            write_wal_v1(path, header, records)
+
+
+def wal_frames(path: str) -> list:
+    """``[(offset, magic, body)]`` of every record frame after the
+    header — the framing walked independently of :func:`read_wal`."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    offset = blob.index(b"\n", len(WAL_MAGIC)) + 1
+    frames = []
+    while offset < len(blob):
+        length, _ = struct.unpack_from("<II", blob, offset + 4)
+        frames.append((offset, blob[offset:offset + 4],
+                       blob[offset + 12:offset + 12 + length]))
+        offset += 12 + length
+    return frames
 
 
 def states_bitwise_equal(a, b):
@@ -306,6 +411,97 @@ class TestTickWAL:
         assert wal.durable_size > header_size
         assert wal.durable_size == os.path.getsize(path)
         wal.close()
+
+    def test_reopen_continues_the_key_table(self, tmp_path, rng):
+        path = str(tmp_path / "wal-000000000000.log")
+        rows = rng.normal(size=(5, N))
+        with TickWAL(path, 0) as wal:
+            wal.append(1, "a", 0.0, rows[0])
+            wal.append(2, ("t", 1), 0.0, rows[1])
+        with TickWAL(path, 0) as wal:
+            wal.append(3, "a", 1.0, rows[2])
+            wal.append(4, ("t", 1), 1.0, rows[3])
+            wal.append(5, 7, 0.0, rows[4])
+        # Each key is bound once, ids counting on across the reopen.
+        bindings = [(struct.unpack_from("<I", body)[0],
+                     json.loads(body[4:].decode()))
+                    for _, magic, body in wal_frames(path)
+                    if magic == b"KEYS"]
+        assert bindings == [(0, encode_key("a")), (1, encode_key(("t", 1))),
+                            (2, encode_key(7))]
+        _, records = read_wal(path)
+        assert [r["key"] for r in records] == ["a", ("t", 1), "a",
+                                               ("t", 1), 7]
+        assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("new_key", [True, False])
+    def test_tear_anywhere_in_the_final_record_trims_to_it(
+            self, tmp_path, rng, new_key):
+        # The final append either binds a new key (a KEYS record and
+        # its tick, in one write) or logs a tick of a known key.
+        path = str(tmp_path / "wal-000000000000.log")
+        rows = rng.normal(size=(3, N))
+        with TickWAL(path, 0) as wal:
+            wal.append(1, "a", 0.0, rows[0])
+            wal.append(2, "a", 1.0, rows[1])
+            wal.append(3, ("b", 2) if new_key else "a", 2.0, rows[2])
+        with open(path, "rb") as handle:
+            intact = handle.read()
+        frames = wal_frames(path)
+        final = frames[-2:] if new_key else frames[-1:]
+        assert [magic for _, magic, _ in final] == (
+            [b"KEYS", b"TICK"] if new_key else [b"TICK"])
+        # The end of each final record, which a tear inside it trims to.
+        ends = [offset + 12 + len(body) for offset, _, body in frames]
+        for (start, _, body), end in zip(final, ends[-len(final):]):
+            for cut in range(start + 1, end):
+                with open(path, "wb") as handle:
+                    handle.write(intact[:cut])
+                with pytest.raises(TornWALError) as info:
+                    read_wal(path)
+                assert info.value.good_offset == start
+                assert [r["seq"] for r in info.value.records] == [1, 2]
+                # Reopening trims the tear; the re-logged tick binds its
+                # key again if the tear took the binding with it.
+                with TickWAL(path, 0) as wal:
+                    assert wal.durable_size == start
+                    wal.append(3, ("b", 2) if new_key else "a", 2.0,
+                               rows[2])
+                with open(path, "rb") as handle:
+                    assert handle.read() == intact
+
+    @pytest.mark.parametrize("frames, reason", [
+        ([(b"JUNK", b"")], "corrupt record marker"),
+        ([(b"TICK", struct.pack("<QIdBII", 1, 0, 0.0, 1, 1, N)
+           + bytes(8 * N))], "no KEYS record"),
+        ([(b"KEYS", struct.pack("<I", 1) + b'["s","k"]')], "out of order"),
+        ([(b"KEYS", struct.pack("<I", 0) + b'["s","k"]'),
+          (b"TICK", struct.pack("<QIdBII", 1, 0, 0.0, 1, 1, N)
+           + bytes(8))], "payload bytes"),
+    ])
+    def test_well_framed_but_malformed_records_refused(self, tmp_path,
+                                                       frames, reason):
+        # Intact frames (CRC and all) whose content is wrong are damage,
+        # not a torn tail: read_wal raises WALError, never trims them.
+        path = str(tmp_path / "wal-000000000000.log")
+        TickWAL(path, 0).close()
+        with open(path, "ab") as handle:
+            for magic, body in frames:
+                handle.write(magic + struct.pack(
+                    "<II", len(body), zlib.crc32(body)) + body)
+        with pytest.raises(WALError, match=reason) as info:
+            read_wal(path)
+        assert not isinstance(info.value, TornWALError)
+
+    def test_format1_segment_with_records_refused(self, tmp_path, rng):
+        path = str(tmp_path / "wal-000000000000.log")
+        write_wal_v1(path, {"base_seq": 0}, [
+            {"seq": 1, "key": "k", "timestamp": 0.0,
+             "values": rng.normal(size=N)}])
+        _, records = read_wal(path)  # still read...
+        assert [r["key"] for r in records] == ["k"]
+        with pytest.raises(WALError, match="format-1 records"):
+            TickWAL(path, 0)  # ...never appended to
 
 
 # ----------------------------------------------------------------------
@@ -721,17 +917,49 @@ class TestSnapshotFormat:
         replay(forecaster, walk, max_ticks=40)
         snapdir = str(tmp_path / "snaps")
         path = checkpoint(forecaster, snapdir)
-        arrays = load_arrays(path)
-        buffer_keys = [k for k in arrays if k.endswith("/buffer")]
-        arrays[buffer_keys[0]][0, 0] += 1.0  # corrupt one payload value
-        save_arrays(path, arrays)
+        pristine = load_arrays(path)
+        assert set(pristine) == FORMAT2_MEMBERS | {"latest"}
         service2, restored = make_forecaster(bundle_dir)
-        state = ShardedRecoverer().recover(snapdir, restored,
-                                           replay_wal=False)
-        assert state.stage is RecoveryStages.FAILED
-        assert "digest mismatch" in state.failure_reason
+        # One changed value in any member but the format and the digest
+        # itself fails the digest check.
+        for name in sorted(set(pristine) - {"__format__", "__digest__"}):
+            arrays = dict(pristine)
+            value = pristine[name].copy()
+            if value.dtype.kind == "U":
+                value = np.array(str(value) + " ")
+            elif value.dtype == bool:
+                value.reshape(-1)[0] = not value.reshape(-1)[0]
+            else:
+                value.reshape(-1)[0] += 1
+            arrays[name] = value
+            save_arrays(path, arrays)
+            state = ShardedRecoverer().recover(snapdir, restored,
+                                               replay_wal=False)
+            assert state.stage is RecoveryStages.FAILED, name
+            assert "digest mismatch" in state.failure_reason, name
+            assert restored.keys() == []
         service.close()
         service2.close()
+
+    def test_mixed_latest_dtypes_are_refused_not_upcast(self, bundle_dir,
+                                                        walk, tmp_path):
+        service, forecaster = make_forecaster(bundle_dir)
+        replay(forecaster, walk, key="a", max_ticks=40)
+        replay(forecaster, walk, key="b", max_ticks=40)
+        state = forecaster.shards[0].export_state()
+        first = state["entries"][0]
+        first["latest"] = first["latest"].astype(np.float32)
+        with pytest.raises(SnapshotError, match="mix dtypes"):
+            write_snapshot(str(tmp_path / "mixed"), state)
+        service.close()
+
+    def test_format1_snapshot_recovers_bitwise(self, bundle_dir, walk,
+                                               tmp_path):
+        # The format-1 layout is read, never written: the next
+        # checkpoint of the restored universe is format 2.
+        restored = self.recover_rewritten(bundle_dir, walk, tmp_path,
+                                          lambda arrays: None)
+        assert_current_layout(checkpoint(restored, str(tmp_path / "next")))
 
     def test_snapshot_stamped_with_engine_and_precision_recovers(
             self, bundle_dir, walk, tmp_path):
@@ -756,13 +984,16 @@ class TestSnapshotFormat:
 
     @staticmethod
     def recover_rewritten(bundle_dir, walk, tmp_path, rewrite):
-        """Checkpoint 40 ticks, ``rewrite`` the archive's arrays in
-        place, and recover it bitwise → the restored forecaster."""
+        """Checkpoint 40 ticks in format 1, ``rewrite`` the archive's
+        arrays in place, and recover it bitwise → the restored
+        forecaster."""
         service, forecaster = make_forecaster(bundle_dir)
         replay(forecaster, walk, max_ticks=40)
         snapdir = str(tmp_path / "snaps")
         path = checkpoint(forecaster, snapdir)
+        downgrade_to_format1(snapdir)
         arrays = load_arrays(path)
+        assert int(arrays["__format__"]) == 1
         rewrite(arrays)
         save_arrays(path, arrays)
 
@@ -806,3 +1037,59 @@ class TestSnapshotFormat:
             assert key_state(recovered, key) == key_state(victim, key)
         assert_current_layout(checkpoint(recovered, str(tmp_path / "next")))
         service.close()
+
+    def test_format1_chain_recovers_bitwise(self, bundle_dir, walk,
+                                            tmp_path):
+        # Snapshots and WAL segments an earlier build left behind: the
+        # recovered universe is the victim's, bitwise, WAL tail included.
+        snapdir = str(tmp_path / "snaps")
+        service, victim = make_forecaster(bundle_dir)
+        ShardedSnapshotter(victim, snapdir, every=13)
+        replay(victim, walk, max_ticks=73)
+        downgrade_to_format1(snapdir)
+        for kind, _, _, path in chain_files(snapdir):
+            if kind == "wal":
+                assert read_wal(path)[0]["format"] == 1
+            else:
+                assert int(load_arrays(path)["__format__"]) == 1
+
+        service2, recovered = make_forecaster(bundle_dir)
+        state = recovered.restore_from(snapdir)
+        assert state.detail["replayed"] == 73 - 65
+        states_bitwise_equal(victim, recovered)
+        service.close()
+        service2.close()
+
+    def test_header_only_format1_segment_resumes_as_format2(
+            self, bundle_dir, walk, tmp_path):
+        # An earlier build checkpointed and died before the next tick:
+        # its newest WAL segment holds only a format-1 header.  Resuming
+        # reopens that segment, which is rewritten as format 2.
+        snapdir = str(tmp_path / "snaps")
+        service, reference = make_forecaster(bundle_dir)
+        replay(reference, walk, max_ticks=60)
+        service.close()
+
+        service, victim = make_forecaster(bundle_dir)
+        snapshotter = ShardedSnapshotter(victim, snapdir, every=0)
+        replay(victim, walk, max_ticks=40)
+        snapshotter.checkpoint()
+        service.close()
+        downgrade_to_format1(snapdir)
+        ((_, path),) = wal_paths(snapdir, 40)
+        assert read_wal(path) == ({**read_wal(path)[0], "format": 1}, [])
+
+        service, resumed = make_forecaster(bundle_dir)
+        resumed.restore_from(snapdir)
+        with ShardedSnapshotter(resumed, snapdir, every=0):
+            replay(resumed, walk, first_tick=40, max_ticks=20)
+        header, records = read_wal(path)
+        assert header["format"] == 2
+        assert [r["seq"] for r in records] == list(range(41, 61))
+        states_bitwise_equal(resumed, reference)
+
+        service2, again = make_forecaster(bundle_dir)
+        again.restore_from(snapdir)  # format-1 snapshot + format-2 tail
+        states_bitwise_equal(again, reference)
+        service.close()
+        service2.close()

@@ -46,6 +46,7 @@ from repro.gateway import (
     write_keys_file,
 )
 from repro.gateway import server as gateway_server
+from repro.gateway.app import INTERNAL_ERROR, NON_FINITE_FORECAST
 from repro.infer import CompiledStudent
 from repro.serve import ForecastService, save_student_artifact
 from repro.shard import ShardRouter
@@ -106,6 +107,15 @@ def history(rng) -> np.ndarray:
 
 def usage_of(gateway: Gateway, tenant: str) -> dict:
     return gateway.meter.account(tenant).as_dict()
+
+
+def strict_json(payload: dict) -> dict:
+    """``payload`` through the transport's encoding, parsed strictly:
+    ``NaN``/``Infinity`` tokens are not JSON."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(json.dumps(payload), parse_constant=refuse)
 
 
 #: Exception text that must never reach a client.
@@ -536,6 +546,68 @@ class TestGatewayHandlers:
                 assert recovered.state(key).tail(held).tobytes() == \
                     ring.tail(held).tobytes()
 
+    def test_tick_taken_before_a_failed_submit_is_sequenced_and_logged(
+            self, artifact_dir, keys_path, tmp_path):
+        # The 32nd tick is the first with a full window; its cadence
+        # forecast reaches a closed service.  The ring has taken the
+        # tick by then, so it is sequenced, logged and charged, and the
+        # failed forecast is reported, not a 500.
+        snapdir = str(tmp_path / "snaps")
+        ticks = np.random.default_rng(0).normal(size=(L, N))
+        key = ("acme", "s1")
+        with ShardRouter(artifact_dir) as router:
+            gateway = Gateway(router, ApiKeyRegistry(keys_path))
+            forecaster = gateway.forecaster_for()
+            tenant_key = gateway.authenticate("k-acme")
+            with ShardedSnapshotter(forecaster, snapdir, every=0):
+                for index, tick in enumerate(ticks[:-1]):
+                    assert gateway.ingest(tenant_key, {
+                        "series": "s1", "timestamp": float(index),
+                        "values": tick.tolist()}).status == 200
+                router.workers[0].service.close()
+                response = gateway.ingest(tenant_key, {
+                    "series": "s1", "timestamp": float(L - 1),
+                    "values": ticks[-1].tolist(), "wait": True})
+            assert response.status == 200, response.payload
+            assert response.payload["forecast_triggered"] is True
+            assert response.payload["forecast_error"] == INTERNAL_ERROR
+            assert usage_of(gateway, "acme")["spent"] == L * INGEST_UNITS
+            records = [record for _, path in wal_paths(snapdir, shard=0)
+                       for record in read_wal(path)[1]]
+            ring = forecaster.state(key)
+            assert ring.count == forecaster.seq == len(records) == L
+            with ShardRouter(artifact_dir) as fresh_router:
+                recovered = Gateway(fresh_router, ApiKeyRegistry(
+                    keys_path)).forecaster_for()
+                recovered.restore_from(snapdir)
+                assert recovered.seq == L
+                assert recovered.state(key)._buffer.tobytes() == \
+                    ring._buffer.tobytes()
+
+    def test_overflowing_forward_is_refused_in_strict_json(self, gateway,
+                                                           rng):
+        # Finite in float32, yet the forward overflows: the forecast is
+        # NaN.  predict refuses it without charging; ingest keeps the
+        # ticks and reports the forecast as an error, not as NaN.
+        tenant_key = gateway.authenticate("k-acme")
+        history = rng.normal(size=(L, N)) * 1e30
+        assert np.isfinite(history.astype(np.float32)).all()
+        before = usage_of(gateway, "acme")
+        predicted = gateway.predict(tenant_key, {"history": history.tolist()})
+        ingested = gateway.ingest(tenant_key, {
+            "series": "s1", "timestamp": 0.0, "values": history.tolist(),
+            "wait": True})
+        assert predicted.status == 400
+        assert strict_json(predicted.payload) == {
+            "error": NON_FINITE_FORECAST}
+        assert gateway.stats.invalid == 1
+        assert ingested.status == 200
+        body = strict_json(ingested.payload)
+        assert body["forecast_error"] == NON_FINITE_FORECAST
+        assert "forecast" not in body
+        assert usage_of(gateway, "acme")["spent"] == \
+            before["spent"] + L * INGEST_UNITS
+
     @pytest.mark.parametrize("payload", [
         {"timestamp": 0.0, "values": [1.0, 2.0, 3.0]},     # no series
         {"series": "", "timestamp": 0.0, "values": [1.0]},  # empty name
@@ -628,16 +700,13 @@ class TestGatewayHandlers:
         assert predicted.status == 500
         assert SECRET not in json.dumps(predicted.payload)
         assert SECRET not in json.dumps(ingested.payload)
-        if fail_future:
-            # the ticks landed; only the cadence forecast failed
-            assert ingested.status == 200
-            assert "forecast_error" in ingested.payload
-            assert gateway.stats.errors == 1
-        else:
-            assert ingested.status == 500
-            assert gateway.stats.errors == 2
-        assert usage_of(gateway, "acme")["spent"] == (
-            L * INGEST_UNITS if fail_future else 0)
+        # Whether submit raises or its future fails, the ticks landed:
+        # only the cadence forecast failed.
+        assert ingested.status == 200
+        assert ingested.payload["forecast_triggered"] is True
+        assert ingested.payload["forecast_error"] == INTERNAL_ERROR
+        assert gateway.stats.errors == 1
+        assert usage_of(gateway, "acme")["spent"] == L * INGEST_UNITS
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.shard import (
     ShardedStreamingForecaster,
 )
 from repro.shard import ring as ring_module
-from repro.stream import replay, verify_parity
+from repro.stream import StreamError, replay, verify_parity
 
 from test_durable import L, M, N, key_state, make_bundle
 
@@ -304,6 +304,58 @@ class TestShardedReplayParity:
         assert sorted(per_shard) == [0, 1]
         assert sum(part["stream"]["ticks"] for part in per_shard.values()) \
             == snapshot["stream"]["ticks"]
+        router.close()
+
+
+# ----------------------------------------------------------------------
+# routing once per series
+# ----------------------------------------------------------------------
+class TestRouteMap:
+    def test_accepted_keys_skip_the_ring_after_their_first_tick(
+            self, bundle_dir, walk, monkeypatch):
+        router, sharded = make_sharded(bundle_dir, workers=2)
+        lookups = []
+        ring_shard_for = HashRing.shard_for
+
+        def counted(ring, key):
+            lookups.append(key)
+            return ring_shard_for(ring, key)
+
+        monkeypatch.setattr(HashRing, "shard_for", counted)
+        keys = KEYS[:4]
+        feed(sharded, walk, keys, ticks=40)
+        assert lookups == keys  # one lookup per series, at its first tick
+        for key in keys:
+            assert sharded._routes[key] == ring_shard_for(router.ring, key)
+            sharded.state(key)
+            sharded.latest(key)
+            sharded.forecast(key)
+        assert lookups == keys
+        router.close()
+
+    def test_refused_first_tick_leaves_no_entry(self, bundle_dir):
+        router, sharded = make_sharded(bundle_dir, workers=2)
+        key = KEYS[0]
+        with pytest.raises(StreamError, match="non-finite"):
+            sharded.append(key, 0.0, np.full(N, np.nan))
+        assert sharded._routes == {} and sharded.keys() == []
+        router.close()
+
+    def test_drop_and_clear_remove_entries(self, bundle_dir, walk):
+        router, sharded = make_sharded(bundle_dir, workers=2)
+        keys = KEYS[:6]
+        feed(sharded, walk, keys, ticks=3)
+        owners = {key: sharded.shard_for(key) for key in keys}
+        assert len(set(owners.values())) > 1
+        sharded.drop(keys[0])
+        assert keys[0] not in sharded._routes
+        assert keys[0] not in sharded.keys()
+        # Re-added after the drop, the key routes where the ring says.
+        feed(sharded, walk, keys[:1], ticks=3)
+        assert sharded._routes[keys[0]] == owners[keys[0]]
+        assert keys[0] in sharded.shards[owners[keys[0]]].keys()
+        sharded.clear()
+        assert sharded._routes == {} and sharded.keys() == []
         router.close()
 
 

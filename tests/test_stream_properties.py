@@ -113,6 +113,21 @@ class TestSeriesStateRoundTrip:
         assert restored.count == state.count
 
     @given(ring_setups())
+    def test_one_ring_copy_and_the_format1_doubled_buffer_restore_alike(
+            self, setup):
+        input_len, capacity, num_variables, rows, chunks = setup
+        state = SeriesState(input_len, num_variables, capacity=capacity)
+        for chunk in chunks:
+            state.extend(chunk)
+        exported = state.export_state()
+        assert exported["buffer"].shape == (capacity, num_variables)
+        # Format-1 snapshots stored the whole doubled buffer.
+        doubled = dict(exported, buffer=state._buffer.copy())
+        for payload in (exported, doubled):
+            restored = SeriesState.from_state(payload)
+            assert restored._buffer.tobytes() == state._buffer.tobytes()
+
+    @given(ring_setups())
     def test_export_is_a_snapshot_not_a_view(self, setup):
         input_len, capacity, num_variables, rows, chunks = setup
         state = SeriesState(input_len, num_variables, capacity=capacity)
