@@ -259,20 +259,32 @@ def _entries_v2(arrays: dict, config: dict, meta: dict) -> list:
 
 
 def _entries_v1(arrays: dict, meta: dict) -> list:
-    """Per-key entries of a format-1 archive (``s{i}/`` members)."""
+    """Per-key entries of a format-1 archive (``s{i}/`` members).
+
+    Format 1 stored each whole doubled ring, ``(2 * capacity, N)``;
+    every row ever written is equal in both halves, so the first half
+    is the ring.
+    """
     entries = []
     for index, entry_meta in enumerate(meta["entries"]):
         prefix = f"s{index}/"
         try:
             series_meta = entry_meta["series"]
+            capacity = int(series_meta["capacity"])
+            num_variables = int(series_meta["num_variables"])
+            buffer = arrays[prefix + "buffer"]
+            if buffer.shape != (2 * capacity, num_variables):
+                raise SnapshotError(
+                    f"snapshot entry {index} has a {buffer.shape} ring, "
+                    f"expected the doubled {(2 * capacity, num_variables)}")
             entry = {
                 "key": decode_key(entry_meta["key"]),
                 "series": {
                     "input_len": int(series_meta["input_len"]),
-                    "num_variables": int(series_meta["num_variables"]),
-                    "capacity": int(series_meta["capacity"]),
+                    "num_variables": num_variables,
+                    "capacity": capacity,
                     "count": int(series_meta["count"]),
-                    "buffer": arrays[prefix + "buffer"],
+                    "buffer": buffer[:capacity],
                 },
                 "last_timestamp": entry_meta["last_timestamp"],
                 "gaps": int(entry_meta["gaps"]),

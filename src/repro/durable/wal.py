@@ -13,18 +13,13 @@ File layout, format 2 (``wal-{shard}-{base_seq:012d}.log``)::
     {"format": 2, "base_seq": ..., ...}\\n  JSON header (config + digest)
     <magic 4B> <len u32 LE> <crc32 u32 LE> <body>   repeated
 
-Every record is framed the same way — a 4-byte magic, the body length
-and the CRC32 of the body — and comes in two kinds:
-
-* ``KEYS`` binds a key id to a stream key: body = key id (u32) + the
-  :func:`~repro.durable.keys.encode_key` JSON.  It is written the first
-  time a key appears in a segment, in the same write as that key's
-  first tick, and ids count up from 0 within each segment.
-* ``TICK`` is one accepted tick, fixed-width binary: body = seq (u64),
-  key id (u32), timestamp (f64), ndim (u8), rows (u32), cols (u32),
-  then the ``rows * cols`` raw little-endian float64 values.
-
-So a series' key is encoded once per segment, not once per tick.
+Each record is one accepted tick, framed by a 4-byte ``TICK`` magic,
+the body length and the CRC32 of the body.  The body is binary: a
+fixed-width head — seq (u64), timestamp (f64), ndim (u8), rows (u32),
+cols (u32), key length (u32) — then the key's
+:func:`~repro.durable.keys.encode_key` JSON and the ``rows * cols`` raw
+little-endian float64 values.  The appender caches each key's JSON, so
+a series' key is encoded once per segment, not once per tick.
 Each append is one ``write`` and one flush before ``append`` returns;
 ``durable_size`` adds up the bytes known to have reached the OS, which
 the fault harness uses to simulate a kill between the buffered write
@@ -72,12 +67,10 @@ WAL_FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 WAL_MAGIC = b"REPRO-TICK-WAL\n"
 _RECORD_MAGIC = b"TICK"
-_KEYS_MAGIC = b"KEYS"
 _FRAME = struct.Struct("<II")  # body length, crc32 of body
 _FRAME_SIZE = len(_RECORD_MAGIC) + _FRAME.size
-#: Format-2 tick body head: seq, key id, timestamp, ndim, rows, cols.
-_TICK = struct.Struct("<QIdBII")
-_KEY_ID = struct.Struct("<I")
+#: Format-2 tick body head: seq, timestamp, ndim, rows, cols, key length.
+_TICK = struct.Struct("<QdBIII")
 
 
 class WALError(RuntimeError):
@@ -104,11 +97,11 @@ def _frame(magic: bytes, body: bytes) -> bytes:
 class TickWAL:
     """Appender for one WAL segment starting at ``base_seq``.
 
-    Opening an existing path appends to it (resume after restart),
-    continuing its key table; opening a fresh path writes the magic +
-    header first.  ``config`` and ``artifact_digest`` ride in the
-    header so a WAL chain alone — no snapshot yet — is enough to verify
-    compatibility and bootstrap recovery from an empty forecaster.
+    Opening an existing path appends to it (resume after restart);
+    opening a fresh path writes the magic + header first.  ``config``
+    and ``artifact_digest`` ride in the header so a WAL chain alone —
+    no snapshot yet — is enough to verify compatibility and bootstrap
+    recovery from an empty forecaster.
     """
 
     def __init__(self, path: str, base_seq: int, *, config=None,
@@ -118,8 +111,8 @@ class TickWAL:
         self.fsync = bool(fsync)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        #: Key → id for every key bound by a written ``KEYS`` record.
-        self._ids: dict = {}
+        #: Key → its encode_key JSON, encoded on the key's first tick.
+        self._tokens: dict = {}
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
             # Repair-on-open: appending after a torn record would bury
@@ -127,11 +120,11 @@ class TickWAL:
             # durable ticks at the next recovery.  Trim the torn tail
             # first; refuse files that are damaged beyond that.
             try:
-                header, records, keys = _read_segment(path)
+                header, records = read_wal(path)
             except TornWALError as torn:
                 with open(path, "r+b") as repair:
                     repair.truncate(torn.good_offset)
-                header, records, keys = _read_segment(path)
+                header, records = read_wal(path)
             if int(header.get("base_seq", -1)) != self.base_seq:
                 raise WALError(
                     f"{path!r} has base_seq {header.get('base_seq')!r}, "
@@ -143,7 +136,6 @@ class TickWAL:
                         f"records; this build appends only format "
                         f"{WAL_FORMAT_VERSION}")
                 fresh = True  # header only: rewritten below
-            self._ids = {key: index for index, key in enumerate(keys)}
         if fresh:
             header = {
                 "format": WAL_FORMAT_VERSION,
@@ -181,21 +173,16 @@ class TickWAL:
         else:
             raise ValueError(
                 f"a tick must be (N,) or (T, N), got shape {row.shape}")
-        key_id = self._ids.get(key)
-        binds = key_id is None  # the key's first tick in this segment
-        record = b""
-        if binds:
-            key_id = len(self._ids)
-            token = json.dumps(encode_key(key), separators=(",", ":"))
-            record = _frame(_KEYS_MAGIC,
-                            _KEY_ID.pack(key_id) + token.encode("utf-8"))
-        record += _frame(_RECORD_MAGIC, _TICK.pack(
-            int(seq), key_id, float(timestamp), row.ndim, rows, cols)
-            + row.tobytes())
+        token = self._tokens.get(key)
+        if token is None:
+            token = json.dumps(encode_key(key),
+                               separators=(",", ":")).encode("utf-8")
+            self._tokens[key] = token
+        record = _frame(_RECORD_MAGIC, _TICK.pack(
+            int(seq), float(timestamp), row.ndim, rows, cols, len(token))
+            + token + row.tobytes())
         crashpoint("wal.append")
         self._handle.write(record)
-        if binds:
-            self._ids[key] = key_id  # its KEYS record is written
         crashpoint("wal.fsync")
         self._flush()
         self.durable_size += len(record)
@@ -221,13 +208,6 @@ def read_wal(path: str):
     Raises :class:`WALError` for structural damage and
     :class:`TornWALError` (carrying the clean prefix) for a torn tail.
     """
-    header, records, _ = _read_segment(path)
-    return header, records
-
-
-def _read_segment(path: str):
-    """:func:`read_wal` plus the segment's key table (decoded keys by
-    id; empty for format 1)."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if not blob.startswith(WAL_MAGIC):
@@ -246,7 +226,7 @@ def _read_segment(path: str):
     decode = _decode_v1 if header["format"] == 1 else _decode_v2
 
     records: list = []
-    keys: list = []
+    keys: dict = {}  # encoded key → decoded key, decoded once
     offset = newline + 1
     while offset < len(blob):
         good = offset
@@ -258,8 +238,7 @@ def _read_segment(path: str):
         length, crc = _FRAME.unpack_from(blob, offset + len(magic))
         offset += _FRAME_SIZE
         body = blob[offset:offset + length]
-        if magic not in (_RECORD_MAGIC, _KEYS_MAGIC) or (
-                magic == _KEYS_MAGIC and decode is _decode_v1):
+        if magic != _RECORD_MAGIC:
             raise WALError(
                 f"{path!r} has a corrupt record marker at byte {good}")
         if len(body) < length:
@@ -273,24 +252,15 @@ def _read_segment(path: str):
                 good_offset=good, records=records)
         offset += length
         try:
-            if magic == _KEYS_MAGIC:
-                (key_id,) = _KEY_ID.unpack_from(body)
-                if key_id != len(keys):
-                    raise ValueError(
-                        f"key id {key_id} bound out of order (next id "
-                        f"is {len(keys)})")
-                keys.append(decode_key(json.loads(
-                    body[_KEY_ID.size:].decode("utf-8"))))
-            else:
-                records.append(decode(body, keys))
+            records.append(decode(body, keys))
         except Exception as exc:
             raise WALError(
                 f"{path!r} has an undecodable record at byte {good}: "
                 f"{exc}") from exc
-    return header, records, keys
+    return header, records
 
 
-def _decode_v1(body: bytes, keys: list) -> dict:
+def _decode_v1(body: bytes, keys: dict) -> dict:
     """A format-1 tick: JSON line header, then the raw values."""
     newline = body.find(b"\n")
     if newline < 0:
@@ -301,19 +271,21 @@ def _decode_v1(body: bytes, keys: list) -> dict:
                    float(meta["timestamp"]), shape, body[newline + 1:])
 
 
-def _decode_v2(body: bytes, keys: list) -> dict:
-    """A format-2 tick: the fixed-width head, then the raw values."""
-    seq, key_id, timestamp, ndim, rows, cols = _TICK.unpack_from(body)
-    if key_id >= len(keys):
-        raise ValueError(f"key id {key_id} has no KEYS record")
+def _decode_v2(body: bytes, keys: dict) -> dict:
+    """A format-2 tick: the fixed-width head, the key, the raw values."""
+    seq, timestamp, ndim, rows, cols, key_length = _TICK.unpack_from(body)
+    start = _TICK.size + key_length
+    token = body[_TICK.size:start]
+    key = keys.get(token)
+    if key is None:
+        key = keys[token] = decode_key(json.loads(token.decode("utf-8")))
     if ndim == 1 and rows == 1:
         shape = (cols,)
     elif ndim == 2:
         shape = (rows, cols)
     else:
         raise ValueError(f"bad tick shape: ndim {ndim}, rows {rows}")
-    return _record(seq, keys[key_id], timestamp, shape,
-                   body[_TICK.size:])
+    return _record(seq, key, timestamp, shape, body[start:])
 
 
 def _record(seq, key, timestamp, shape, payload: bytes) -> dict:

@@ -150,22 +150,17 @@ class SeriesState:
         """Rebuild a :class:`SeriesState` from :meth:`export_state`.
 
         ``buffer`` is one ring copy, ``(capacity, N)``, written into
-        both halves in place; the whole doubled ``(2 * capacity, N)``
-        buffer that format-1 snapshots stored is accepted too.
+        both halves in place.
         """
         restored = cls(int(state["input_len"]), int(state["num_variables"]),
                        capacity=int(state["capacity"]))
         buffer = np.asarray(state["buffer"], dtype=np.float64)
         single = (restored.capacity, restored.num_variables)
-        if buffer.shape == single:
-            restored._buffer[:restored.capacity] = buffer
-            restored._buffer[restored.capacity:] = buffer
-        elif buffer.shape == restored._buffer.shape:
-            restored._buffer[:] = buffer
-        else:
+        if buffer.shape != single:
             raise ValueError(
-                f"series buffer has shape {buffer.shape}, expected "
-                f"{single} (or {restored._buffer.shape} in format 1)")
+                f"series buffer has shape {buffer.shape}, expected {single}")
+        restored._buffer[:restored.capacity] = buffer
+        restored._buffer[restored.capacity:] = buffer
         count = int(state["count"])
         if count < 0:
             raise ValueError(f"series count must be >= 0, got {count}")

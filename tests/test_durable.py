@@ -412,72 +412,40 @@ class TestTickWAL:
         assert wal.durable_size == os.path.getsize(path)
         wal.close()
 
-    def test_reopen_continues_the_key_table(self, tmp_path, rng):
-        path = str(tmp_path / "wal-000000000000.log")
-        rows = rng.normal(size=(5, N))
-        with TickWAL(path, 0) as wal:
-            wal.append(1, "a", 0.0, rows[0])
-            wal.append(2, ("t", 1), 0.0, rows[1])
-        with TickWAL(path, 0) as wal:
-            wal.append(3, "a", 1.0, rows[2])
-            wal.append(4, ("t", 1), 1.0, rows[3])
-            wal.append(5, 7, 0.0, rows[4])
-        # Each key is bound once, ids counting on across the reopen.
-        bindings = [(struct.unpack_from("<I", body)[0],
-                     json.loads(body[4:].decode()))
-                    for _, magic, body in wal_frames(path)
-                    if magic == b"KEYS"]
-        assert bindings == [(0, encode_key("a")), (1, encode_key(("t", 1))),
-                            (2, encode_key(7))]
-        _, records = read_wal(path)
-        assert [r["key"] for r in records] == ["a", ("t", 1), "a",
-                                               ("t", 1), 7]
-        assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
-
-    @pytest.mark.parametrize("new_key", [True, False])
-    def test_tear_anywhere_in_the_final_record_trims_to_it(
-            self, tmp_path, rng, new_key):
-        # The final append either binds a new key (a KEYS record and
-        # its tick, in one write) or logs a tick of a known key.
+    def test_tear_anywhere_in_the_final_record_trims_to_it(self, tmp_path,
+                                                            rng):
         path = str(tmp_path / "wal-000000000000.log")
         rows = rng.normal(size=(3, N))
         with TickWAL(path, 0) as wal:
             wal.append(1, "a", 0.0, rows[0])
             wal.append(2, "a", 1.0, rows[1])
-            wal.append(3, ("b", 2) if new_key else "a", 2.0, rows[2])
+            wal.append(3, ("b", 2), 2.0, rows[2])
         with open(path, "rb") as handle:
             intact = handle.read()
-        frames = wal_frames(path)
-        final = frames[-2:] if new_key else frames[-1:]
-        assert [magic for _, magic, _ in final] == (
-            [b"KEYS", b"TICK"] if new_key else [b"TICK"])
-        # The end of each final record, which a tear inside it trims to.
-        ends = [offset + 12 + len(body) for offset, _, body in frames]
-        for (start, _, body), end in zip(final, ends[-len(final):]):
-            for cut in range(start + 1, end):
-                with open(path, "wb") as handle:
-                    handle.write(intact[:cut])
-                with pytest.raises(TornWALError) as info:
-                    read_wal(path)
-                assert info.value.good_offset == start
-                assert [r["seq"] for r in info.value.records] == [1, 2]
-                # Reopening trims the tear; the re-logged tick binds its
-                # key again if the tear took the binding with it.
-                with TickWAL(path, 0) as wal:
-                    assert wal.durable_size == start
-                    wal.append(3, ("b", 2) if new_key else "a", 2.0,
-                               rows[2])
-                with open(path, "rb") as handle:
-                    assert handle.read() == intact
+        start = wal_frames(path)[-1][0]
+        for cut in range(start + 1, len(intact)):
+            with open(path, "wb") as handle:
+                handle.write(intact[:cut])
+            with pytest.raises(TornWALError) as info:
+                read_wal(path)
+            assert info.value.good_offset == start
+            assert [r["seq"] for r in info.value.records] == [1, 2]
+            # Reopening trims the tear; logging the tick again restores
+            # the segment byte for byte.
+            with TickWAL(path, 0) as wal:
+                assert wal.durable_size == start
+                wal.append(3, ("b", 2), 2.0, rows[2])
+            with open(path, "rb") as handle:
+                assert handle.read() == intact
 
     @pytest.mark.parametrize("frames, reason", [
         ([(b"JUNK", b"")], "corrupt record marker"),
-        ([(b"TICK", struct.pack("<QIdBII", 1, 0, 0.0, 1, 1, N)
-           + bytes(8 * N))], "no KEYS record"),
-        ([(b"KEYS", struct.pack("<I", 1) + b'["s","k"]')], "out of order"),
-        ([(b"KEYS", struct.pack("<I", 0) + b'["s","k"]'),
-          (b"TICK", struct.pack("<QIdBII", 1, 0, 0.0, 1, 1, N)
-           + bytes(8))], "payload bytes"),
+        ([(b"TICK", struct.pack("<QdBIII", 1, 0.0, 1, 1, N, 9)
+           + b'["x","k"]' + bytes(8 * N))], "unknown key tag"),
+        ([(b"TICK", struct.pack("<QdBIII", 1, 0.0, 1, 1, N, 99)
+           + b'["s","k"]' + bytes(8 * N))], "undecodable record"),
+        ([(b"TICK", struct.pack("<QdBIII", 1, 0.0, 1, 1, N, 9)
+           + b'["s","k"]' + bytes(8))], "payload bytes"),
     ])
     def test_well_framed_but_malformed_records_refused(self, tmp_path,
                                                        frames, reason):
@@ -960,6 +928,31 @@ class TestSnapshotFormat:
         restored = self.recover_rewritten(bundle_dir, walk, tmp_path,
                                           lambda arrays: None)
         assert_current_layout(checkpoint(restored, str(tmp_path / "next")))
+
+    def test_format1_ring_that_is_not_doubled_is_refused(
+            self, bundle_dir, walk, tmp_path):
+        # Format 1 stored each whole doubled ring; an archive holding
+        # anything else is mismatched and fails before any import.
+        service, forecaster = make_forecaster(bundle_dir)
+        replay(forecaster, walk, max_ticks=40)
+        snapdir = str(tmp_path / "snaps")
+        path = checkpoint(forecaster, snapdir)
+        downgrade_to_format1(snapdir)
+        arrays = load_arrays(path)
+        ring = arrays["s0/buffer"]
+        arrays["s0/buffer"] = ring[:len(ring) // 2].copy()
+        arrays["__digest__"] = np.array(
+            arrays_digest(arrays, skip=("__digest__",)))
+        save_arrays(path, arrays)
+
+        service2, restored = make_forecaster(bundle_dir)
+        state = ShardedRecoverer().recover(snapdir, restored,
+                                           replay_wal=False)
+        assert state.stage is RecoveryStages.FAILED
+        assert "expected the doubled" in state.failure_reason
+        assert restored.keys() == []
+        service.close()
+        service2.close()
 
     def test_snapshot_stamped_with_engine_and_precision_recovers(
             self, bundle_dir, walk, tmp_path):

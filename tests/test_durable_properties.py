@@ -2,10 +2,9 @@
 
 Any interleaving of single ticks and ``(T, N)`` runs across str, int
 and nested-tuple keys reads back exactly — key type, seq, timestamp,
-shape and value bytes — and each key is bound by one ``KEYS`` record
-per segment, also when the segment is closed and reopened for append
-part-way.  Profiles are registered in ``conftest.py``; the module skips
-when hypothesis is not installed.
+shape and value bytes — also when the segment is closed and reopened
+for append part-way.  Profiles are registered in ``conftest.py``; the
+module skips when hypothesis is not installed.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.durable import TickWAL, encode_key, read_wal  # noqa: E402
-
-from test_durable import wal_frames  # noqa: E402
 
 N = 3
 
@@ -68,8 +65,6 @@ class TestTickWALFormat2:
                         wal.append(seq, key, timestamp, values)
                     assert wal.durable_size == os.path.getsize(path)
             header, records = read_wal(path)
-            bound = [body for _, magic, body in wal_frames(path)
-                     if magic == b"KEYS"]
 
         assert header["base_seq"] == 7 and header["format"] == 2
         assert [record["seq"] for record in records] == \
@@ -79,8 +74,3 @@ class TestTickWALFormat2:
             assert record["timestamp"] == timestamp
             assert record["values"].shape == values.shape
             assert record["values"].tobytes() == values.tobytes()
-        distinct = []
-        for key, _, _ in ticks:
-            if key not in distinct:
-                distinct.append(key)
-        assert len(bound) == len(distinct)

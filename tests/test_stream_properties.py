@@ -113,19 +113,17 @@ class TestSeriesStateRoundTrip:
         assert restored.count == state.count
 
     @given(ring_setups())
-    def test_one_ring_copy_and_the_format1_doubled_buffer_restore_alike(
-            self, setup):
+    def test_one_ring_copy_restores_both_halves(self, setup):
         input_len, capacity, num_variables, rows, chunks = setup
         state = SeriesState(input_len, num_variables, capacity=capacity)
         for chunk in chunks:
             state.extend(chunk)
         exported = state.export_state()
         assert exported["buffer"].shape == (capacity, num_variables)
-        # Format-1 snapshots stored the whole doubled buffer.
-        doubled = dict(exported, buffer=state._buffer.copy())
-        for payload in (exported, doubled):
-            restored = SeriesState.from_state(payload)
-            assert restored._buffer.tobytes() == state._buffer.tobytes()
+        restored = SeriesState.from_state(exported)
+        assert restored._buffer.tobytes() == state._buffer.tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            SeriesState.from_state(dict(exported, buffer=state._buffer))
 
     @given(ring_setups())
     def test_export_is_a_snapshot_not_a_view(self, setup):
