@@ -74,6 +74,12 @@ class ShardedSnapshotter:
         return [snapshotter.checkpoint()
                 for snapshotter in self.snapshotters]
 
+    @property
+    def checkpoint_failures(self) -> int:
+        """Failed automatic checkpoints, summed over the shards."""
+        return sum(snapshotter.checkpoint_failures
+                   for snapshotter in self.snapshotters)
+
     def prune_foreign(self) -> list[str]:
         """Remove chains whose shard label this universe does not run.
 

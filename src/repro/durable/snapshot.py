@@ -337,7 +337,14 @@ class StreamSnapshotter:
         ``wal-{shard}-{seq}.log`` files live.
     every:
         Checkpoint automatically every ``every`` accepted ticks
-        (``0`` = on-demand :meth:`checkpoint` only).
+        (``0`` = on-demand :meth:`checkpoint` only).  An automatic
+        checkpoint whose snapshot write raises ``OSError`` or
+        :class:`SnapshotError` (a full disk, say) does not fail the tick
+        that triggered it: the tick is already ingested and logged.  It
+        is counted in :attr:`checkpoint_failures` and retried a full
+        interval later; the WAL segment is not rotated meanwhile, so
+        recovery still chains the last published snapshot and that
+        segment.
     wal:
         Keep an append-only tick log between checkpoints, so ticks
         after the last snapshot replay during recovery.  Write-behind:
@@ -379,6 +386,8 @@ class StreamSnapshotter:
             self._artifact_digest = None
         self._wal: TickWAL | None = None  # guarded-by: forecaster._lock
         self._ticks_since = 0  # guarded-by: forecaster._lock
+        #: Automatic checkpoints that failed (see ``every``).
+        self.checkpoint_failures = 0  # guarded-by: forecaster._lock
         with forecaster._lock:
             if forecaster._snapshotter is not None:
                 raise RuntimeError(
@@ -401,7 +410,11 @@ class StreamSnapshotter:
             self._wal.append(seq, key, timestamp, values)
         self._ticks_since += 1
         if self.every > 0 and self._ticks_since >= self.every:
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except (OSError, SnapshotError):
+                self.checkpoint_failures += 1
+                self._ticks_since = 0
 
     def checkpoint(self) -> str:
         """Write a full snapshot now; rotates the WAL segment.

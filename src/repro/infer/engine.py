@@ -47,8 +47,10 @@ build, and reading the backbone's weights each time follows any
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -693,7 +695,8 @@ def emit_swiglu(emit, gate, up, sig) -> None:
 #: Score bytes one CLM row block aims at: its ``(rows, heads, S, S)``
 #: float32 attention scores stay near 1 MiB, so every elementwise pass
 #: over them runs in cache.  For the 49-token prompt at 4 heads that is
-#: 32 rows; whole 448-row chunks measured 1.5x slower.
+#: 32 rows; whole 448-row chunks measured 1.5x slower.  Parallel
+#: workers split one such block's rows between them.
 _CLM_BLOCK_BYTES = 1 << 20
 
 
@@ -704,18 +707,35 @@ def clm_block_rows(seq_len: int, num_heads: int) -> int:
     return 1 << max(0, round(math.log2(_CLM_BLOCK_BYTES / row_bytes)))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def encode_pooled(backbone, token_ids: np.ndarray,
                   biases: np.ndarray | None, bias_index: np.ndarray | None,
                   pooling: str) -> np.ndarray:
     """Pooled final hidden states ``(N, D)`` of a ``TransformerLM``.
 
     A tape-free forward, bitwise equal to pooling
-    ``TransformerLM.forward``: rows run one block of
-    :func:`clm_block_rows` at a time through zero-initialized scratch,
-    with the module's GEMM shapes and layouts.  With ``pooling="last"``
-    the final layer's elementwise work (Q bias, RoPE, attention bias,
-    softmax, norms, FFN) covers only the last position; every GEMM
-    keeps its full shape, since a narrower one rounds differently.
+    ``TransformerLM.forward``: rows run in blocks through
+    zero-initialized scratch, with the module's GEMM shapes and layouts.
+    With ``pooling="last"`` the final layer's elementwise work (Q bias,
+    RoPE, attention bias, softmax, norms, FFN) covers only the last
+    position; every GEMM keeps its full shape, since a narrower one
+    rounds differently.
+
+    The blocks are dealt out to the calling thread plus one helper
+    thread per further CPU the process may use, never to more workers
+    than there are blocks.  Each worker owns its scratch and writes only
+    its own rows of the output.  The workers split the rows a single
+    worker holds at once (one :func:`clm_block_rows` block, or all rows
+    when there are fewer), so together they hold that worker's
+    scratch.  A row's bits depend on neither its block nor its worker.
+    A worker's exception is raised here once every helper has finished.
 
     ``biases`` is ``None`` or a ``(P, S, S)`` stack of full additive
     attention biases (causal mask plus calibration); ``bias_index``
@@ -733,15 +753,17 @@ def encode_pooled(backbone, token_ids: np.ndarray,
         raise IndexError("token id out of range")
     dim, heads, ffn = config.dim, config.num_heads, config.ffn_dim
     head_dim = dim // heads
-    capacity = max(1, min(rows, clm_block_rows(seq, heads)))
+    cpus = _usable_cpus()
+    capacity = max(1, -(-min(rows, clm_block_rows(seq, heads)) // cpus))
+    starts = range(0, rows, capacity)
+    workers = min(cpus, len(starts))
     # One pattern's bias broadcasts over every row; several are
     # gathered into a per-row ``(B, 1, S, S)`` buffer block by block.
     gathered = biases is not None and len(biases) > 1
     count = _const(dim)
-    scratch: dict[tuple, np.ndarray] = {}
 
-    def build(B: int):
-        """The tape for ``B`` rows, over ``[:B]`` views of the scratch."""
+    def build(B: int, scratch: dict):
+        """The tape for ``B`` rows, over ``[:B]`` views of ``scratch``."""
         ops: list = []
 
         def emit(fn, *args):
@@ -830,19 +852,35 @@ def encode_pooled(backbone, token_ids: np.ndarray,
         return ops, x, bias[:, 0] if gathered else None, normed
 
     pooled = np.empty((rows, dim), dtype=np.float32)
-    tapes: dict[int, tuple] = {}
-    for start in range(0, rows, capacity):
-        stop = min(start + capacity, rows)
-        if stop - start not in tapes:
-            tapes[stop - start] = build(stop - start)
-        ops, x, gather, normed = tapes[stop - start]
-        np.take(embedding, token_ids[start:stop], axis=0, out=x)
-        if gather is not None:
-            np.take(biases, bias_index[start:stop], axis=0, out=gather)
-        for op in ops:
-            op()
-        if pooling == "last":
-            np.copyto(pooled[start:stop], normed[:, -1])
-        else:
-            np.mean(normed, axis=1, out=pooled[start:stop])
+
+    def work(first: int) -> None:
+        """Encode every ``workers``-th block from block ``first`` on."""
+        scratch: dict[tuple, np.ndarray] = {}
+        tapes: dict[int, tuple] = {}
+        for start in starts[first::workers]:
+            stop = min(start + capacity, rows)
+            if stop - start not in tapes:
+                tapes[stop - start] = build(stop - start, scratch)
+            ops, x, gather, normed = tapes[stop - start]
+            np.take(embedding, token_ids[start:stop], axis=0, out=x)
+            if gather is not None:
+                np.take(biases, bias_index[start:stop], axis=0, out=gather)
+            for op in ops:
+                op()
+            if pooling == "last":
+                np.copyto(pooled[start:stop], normed[:, -1])
+            else:
+                np.mean(normed, axis=1, out=pooled[start:stop])
+
+    if workers == 1:
+        work(0)
+    else:
+        # Leaving the block joins every helper, also when one raised.
+        with ThreadPoolExecutor(workers - 1,
+                                thread_name_prefix="clm-encode") as pool:
+            helpers = [pool.submit(work, first)
+                       for first in range(1, workers)]
+            work(0)
+            for helper in helpers:
+                helper.result()
     return pooled

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, where
+from .tensor import Tensor, _unbroadcast
 
 __all__ = [
     "relu",
@@ -55,15 +55,41 @@ def smooth_l1_loss(prediction: Tensor, target: Tensor, beta: float = 1.0) -> Ten
 
     ``0.5 * d**2 / beta`` where ``|d| < beta`` and ``|d| - 0.5 * beta``
     elsewhere.  The paper uses ``beta = 1``.
+
+    One graph node.  Its forward and backward run the ufuncs of the
+    composite ``d = p - t; where(|d| < beta, d * d * (0.5 / beta),
+    |d| - 0.5 * beta).mean()`` in that composite's order, with its
+    dtype-coerced constants, so loss and gradients keep their bits.
     """
     if isinstance(target, np.ndarray):
         target = Tensor(target)
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = diff * diff * (0.5 / beta)
-    linear = abs_diff - 0.5 * beta
-    loss = where(abs_diff.data < beta, quadratic, linear)
-    return loss.mean()
+    else:
+        target = prediction._coerce(target)
+    p, t = prediction, target
+    diff = p.data - t.data
+    abs_diff = np.abs(diff)
+    inside = abs_diff < beta
+    half_over_beta = np.asarray(0.5 / beta, dtype=diff.dtype)
+    loss = np.where(inside, diff * diff * half_over_beta,
+                    abs_diff - np.asarray(0.5 * beta, dtype=abs_diff.dtype))
+    total = loss.sum()
+    scale = np.asarray(1.0 / loss.size, dtype=total.dtype)
+
+    def backward(grad: np.ndarray) -> None:
+        # The mean's gradient, uniform over the elements, split by the
+        # where; the quadratic branch reaches d through both operands
+        # of d * d, the linear one through |d|.
+        g = grad * scale
+        quadratic = g * inside * half_over_beta
+        d_grad = quadratic * diff
+        d_grad += quadratic * diff
+        d_grad += g * ~inside * np.sign(diff)
+        if p.requires_grad:
+            p._accumulate(_unbroadcast(d_grad, p.shape), fresh=True)
+        if t.requires_grad:
+            t._accumulate(_unbroadcast(-d_grad, t.shape), fresh=True)
+
+    return Tensor._make(total * scale, (p, t), backward, "smooth_l1")
 
 
 def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:

@@ -18,6 +18,17 @@ from .tensor import Tensor
 __all__ = ["LayerNorm", "RMSNorm"]
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` without numpy's Python
+    ``_mean`` wrapper: the same ``np.add.reduce``, then a divide by the
+    count as a float32 scalar.  Bitwise equal to ``np.mean``, whose
+    float64 divide by an integer count rounds to the same float32
+    quotient (see ``repro.infer.engine.emit_mean``)."""
+    total = np.add.reduce(a, -1, None, None, True)
+    return np.true_divide(total, np.asarray(a.shape[-1], dtype=a.dtype),
+                          out=total)
+
+
 def _fused_layer_norm(x: Tensor, gamma: Parameter, beta: Parameter,
                       eps: float) -> Tensor:
     xd = x.data
@@ -30,14 +41,14 @@ def _fused_layer_norm(x: Tensor, gamma: Parameter, beta: Parameter,
     def backward(grad: np.ndarray) -> None:
         lead = tuple(range(grad.ndim - 1))
         if gamma.requires_grad:
-            gamma._accumulate((grad * xhat).sum(axis=lead))
+            gamma._accumulate((grad * xhat).sum(axis=lead), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=lead))
+            beta._accumulate(grad.sum(axis=lead), fresh=True)
         if x.requires_grad:
             g = grad * gamma.data
-            g_mean = g.mean(axis=-1, keepdims=True)
-            gx_mean = (g * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - g_mean - xhat * gx_mean))
+            g_mean = _mean_last(g)
+            gx_mean = _mean_last(g * xhat)
+            x._accumulate(inv * (g - g_mean - xhat * gx_mean), fresh=True)
 
     return Tensor._make(data, (x, gamma, beta), backward, "layer_norm")
 
@@ -52,11 +63,13 @@ def _fused_rms_norm(x: Tensor, gamma: Parameter, eps: float) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if gamma.requires_grad:
             gamma._accumulate(
-                (grad * xhat).sum(axis=tuple(range(grad.ndim - 1))))
+                (grad * xhat).sum(axis=tuple(range(grad.ndim - 1))),
+                fresh=True)
         if x.requires_grad:
             g = grad * gamma.data
-            gx_mean = (g * xd).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - xd * (gx_mean / (ms + eps))))
+            gx_mean = _mean_last(g * xd)
+            x._accumulate(inv * (g - xd * (gx_mean / (ms + eps))),
+                          fresh=True)
 
     return Tensor._make(data, (x, gamma), backward, "rms_norm")
 

@@ -8,9 +8,19 @@ The design follows the classic define-by-run tape:
 
 * every differentiable operation returns a new :class:`Tensor` whose
   ``_backward`` closure knows how to route the output gradient to the
-  operation inputs;
-* :meth:`Tensor.backward` topologically sorts the graph and runs the
-  closures in reverse order;
+  operation inputs; recording a node also counts one more consumer on
+  each interior input;
+* :meth:`Tensor.backward` sorts the interior nodes depth-first (leaves,
+  which have no closure, stay out of the walk) and runs the closures in
+  reverse order.  The order fixes the order in which a tensor with
+  several consumers sums their gradients, so it is part of the bitwise
+  contract: a creation-order walk sums the q/k/v gradients of a normed
+  input differently and moves the trained model's last bits;
+* a tensor's first gradient is adopted, not copied, when the closure
+  built the array fresh or when the tensor has exactly one consumer
+  (nothing else will add into it).  Every other first gradient is
+  copied, so a tensor with several consumers never aliases another's
+  array;
 * broadcasting is supported for elementwise operations and batched matrix
   multiplication, with gradients reduced back to the input shapes by
   :func:`_unbroadcast`.
@@ -57,7 +67,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that it matches ``shape`` after broadcasting.
 
     Summation runs over the leading axes that were added by broadcasting
-    and over any axis whose original extent was 1.
+    and over any axis whose original extent was 1.  Returns ``grad``
+    itself when the shapes already match, else a fresh array.
     """
     if grad.shape == shape:
         return grad
@@ -68,6 +79,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _expand_reduced(grad, shape: tuple[int, ...], axis, keepdims: bool):
+    """``grad`` of a reduction over ``axis``, reshaped to broadcast
+    against the reduced input's ``shape``."""
+    if axis is None or keepdims:
+        return grad
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    reduced = {ax % len(shape) for ax in axes}
+    return grad.reshape([1 if i in reduced else n
+                         for i, n in enumerate(shape)])
 
 
 def _as_array(value, dtype=np.float32) -> np.ndarray:
@@ -89,7 +111,9 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    # ``_consumers`` is set only on interior nodes (see ``_make``).
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_op", "_consumers")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data = _as_array(data, dtype=dtype)
@@ -169,19 +193,42 @@ class Tensor:
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
+            out._consumers = 0
+            for parent in out._parents:
+                if parent._backward is not None:
+                    parent._consumers += 1
         else:
             out._parents = ()
             out._backward = None
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into :attr:`grad`.
+
+        A first gradient of this tensor's dtype is adopted without a
+        copy when ``fresh`` (the caller built the array and keeps no
+        other use of it) or when this is an interior tensor with exactly
+        one consumer, so no later gradient adds into the array.  Callers
+        pass dense arrays only (a gapped or broadcast view is copied
+        first): an adopted array then has the strides a copy would have,
+        and every later op on it computes the same bits.
+        """
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            if grad.dtype == self.data.dtype and (
+                    fresh or (self._backward is not None
+                              and self._consumers == 1)):
+                self.grad = grad
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
+
+        Interior gradients start from ``None`` on every call, so a graph
+        can be backpropagated again; leaves (parameters and inputs) keep
+        accumulating until they are zeroed.
 
         Parameters
         ----------
@@ -196,11 +243,15 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            grad = np.array(grad, dtype=self.data.dtype)
 
+        # Depth-first postorder over the interior nodes only: a leaf has
+        # no parents, so leaving it out moves no interior node's place.
         order: list[Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor, bool]] = []
+        if self._backward is not None:
+            stack.append((self, False))
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -209,16 +260,16 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            node.grad = None
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(grad, fresh=True)
         for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            node._backward(node.grad)
+            if node.grad is not None:
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # elementwise arithmetic
@@ -235,9 +286,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.shape))
+                ga = _unbroadcast(grad, a.shape)
+                a._accumulate(ga, fresh=ga is not grad)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(grad, b.shape))
+                gb = _unbroadcast(grad, b.shape)
+                b._accumulate(gb, fresh=gb is not grad)
 
         return Tensor._make(data, (a, b), backward, "add")
 
@@ -250,9 +303,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.shape))
+                ga = _unbroadcast(grad, a.shape)
+                a._accumulate(ga, fresh=ga is not grad)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad, b.shape))
+                b._accumulate(_unbroadcast(-grad, b.shape), fresh=True)
 
         return Tensor._make(data, (a, b), backward, "sub")
 
@@ -266,9 +320,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * b.data, a.shape))
+                a._accumulate(_unbroadcast(grad * b.data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * a.data, b.shape))
+                b._accumulate(_unbroadcast(grad * a.data, b.shape), fresh=True)
 
         return Tensor._make(data, (a, b), backward, "mul")
 
@@ -281,9 +335,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad / b.data, a.shape))
+                a._accumulate(_unbroadcast(grad / b.data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.shape))
+                b._accumulate(
+                    _unbroadcast(-grad * a.data / (b.data * b.data), b.shape),
+                    fresh=True)
 
         return Tensor._make(data, (a, b), backward, "div")
 
@@ -296,7 +352,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(-grad)
+                a._accumulate(-grad, fresh=True)
 
         return Tensor._make(data, (a,), backward, "neg")
 
@@ -308,7 +364,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * exponent * a.data ** (exponent - 1))
+                a._accumulate(grad * exponent * a.data ** (exponent - 1),
+                              fresh=True)
 
         return Tensor._make(data, (a,), backward, "pow")
 
@@ -321,7 +378,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * data)
+                a._accumulate(grad * data, fresh=True)
 
         return Tensor._make(data, (a,), backward, "exp")
 
@@ -331,7 +388,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad / a.data)
+                a._accumulate(grad / a.data, fresh=True)
 
         return Tensor._make(data, (a,), backward, "log")
 
@@ -341,7 +398,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * 0.5 / np.maximum(data, 1e-12))
+                a._accumulate(grad * 0.5 / np.maximum(data, 1e-12), fresh=True)
 
         return Tensor._make(data, (a,), backward, "sqrt")
 
@@ -351,7 +408,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * (1.0 - data * data))
+                a._accumulate(grad * (1.0 - data * data), fresh=True)
 
         return Tensor._make(data, (a,), backward, "tanh")
 
@@ -361,7 +418,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * data * (1.0 - data))
+                a._accumulate(grad * data * (1.0 - data), fresh=True)
 
         return Tensor._make(data, (a,), backward, "sigmoid")
 
@@ -372,7 +429,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * mask)
+                a._accumulate(grad * mask, fresh=True)
 
         return Tensor._make(data, (a,), backward, "relu")
 
@@ -383,7 +440,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * sign)
+                a._accumulate(grad * sign, fresh=True)
 
         return Tensor._make(data, (a,), backward, "abs")
 
@@ -395,14 +452,10 @@ class Tensor:
         data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
-            if not a.requires_grad:
-                return
-            g = grad
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(ax % a.ndim for ax in axes):
-                    g = np.expand_dims(g, ax)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            if a.requires_grad:
+                full = np.empty(a.shape, dtype=grad.dtype)
+                full[...] = _expand_reduced(grad, a.shape, axis, keepdims)
+                a._accumulate(full, fresh=True)
 
         return Tensor._make(data, (a,), backward, "sum")
 
@@ -415,7 +468,21 @@ class Tensor:
             count = 1
             for ax in axes:
                 count *= a.shape[ax % a.ndim]
-        return a.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        # One node computing what ``sum * (1.0 / count)`` did, with the
+        # same dtype-coerced scale, so forward and gradient keep their
+        # bits.
+        total = a.data.sum(axis=axis, keepdims=keepdims)
+        scale = np.asarray(1.0 / count, dtype=total.dtype)
+        data = total * scale
+
+        def backward(grad: np.ndarray) -> None:
+            if a.requires_grad:
+                full = np.empty(a.shape, dtype=scale.dtype)
+                np.multiply(_expand_reduced(grad, a.shape, axis, keepdims),
+                            scale, out=full)
+                a._accumulate(full, fresh=True)
+
+        return Tensor._make(data, (a,), backward, "mean")
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Population variance (ddof=0), differentiable."""
@@ -439,7 +506,7 @@ class Tensor:
                     expanded = np.expand_dims(expanded, ax)
             mask = a.data == expanded
             counts = mask.sum(axis=axis, keepdims=True)
-            a._accumulate(mask * g / counts)
+            a._accumulate(mask * g / counts, fresh=True)
 
         return Tensor._make(data, (a,), backward, "max")
 
@@ -490,7 +557,7 @@ class Tensor:
             if a.requires_grad:
                 full = np.zeros_like(a.data)
                 np.add.at(full, key, grad)
-                a._accumulate(full)
+                a._accumulate(full, fresh=True)
 
         return Tensor._make(data, (a,), backward, "getitem")
 
@@ -504,19 +571,19 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
+                ga = np.matmul(grad, b.data.swapaxes(-1, -2))
                 if a.ndim == 1:
                     ga = ga.sum(axis=tuple(range(ga.ndim - 1))) if ga.ndim > 1 else ga
-                    a._accumulate(ga.reshape(a.shape))
+                    a._accumulate(ga.reshape(a.shape), fresh=True)
                 else:
-                    a._accumulate(_unbroadcast(ga, a.shape))
+                    a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
+                gb = np.matmul(a.data.swapaxes(-1, -2), grad)
                 if b.ndim == 1:
                     gb = gb.sum(axis=tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
-                    b._accumulate(gb.reshape(b.shape))
+                    b._accumulate(gb.reshape(b.shape), fresh=True)
                 else:
-                    b._accumulate(_unbroadcast(gb, b.shape))
+                    b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
         return Tensor._make(data, (a, b), backward, "matmul")
 
@@ -535,7 +602,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
                 dot = (grad * data).sum(axis=axis, keepdims=True)
-                a._accumulate(data * (grad - dot))
+                a._accumulate(data * (grad - dot), fresh=True)
 
         return Tensor._make(data, (a,), backward, "softmax")
 
@@ -548,7 +615,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+                a._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True),
+                              fresh=True)
 
         return Tensor._make(data, (a,), backward, "log_softmax")
 
@@ -566,7 +634,7 @@ class Tensor:
                 else:  # pragma: no cover - only axis 0 used in practice
                     moved = np.moveaxis(full, axis, 0)
                     np.add.at(moved, idx, np.moveaxis(grad, axis, 0))
-                a._accumulate(full)
+                a._accumulate(full, fresh=True)
 
         return Tensor._make(data, (a,), backward, "take")
 
@@ -599,7 +667,10 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             if part.requires_grad:
                 slicer = [slice(None)] * grad.ndim
                 slicer[axis] = slice(start, stop)
-                part._accumulate(grad[tuple(slicer)])
+                # A slice has gaps; its dense copy is what a copying
+                # first accumulation made.
+                part._accumulate(grad[tuple(slicer)].copy(order="K"),
+                                 fresh=True)
 
     return Tensor._make(data, parts, backward, "concatenate")
 
@@ -613,7 +684,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         moved = np.moveaxis(grad, axis, 0)
         for i, part in enumerate(parts):
             if part.requires_grad:
-                part._accumulate(moved[i])
+                part._accumulate(moved[i].copy(order="K"), fresh=True)
 
     return Tensor._make(data, parts, backward, "stack")
 
@@ -629,8 +700,8 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * cond, a.shape))
+            a._accumulate(_unbroadcast(grad * cond, a.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * ~cond, b.shape))
+            b._accumulate(_unbroadcast(grad * ~cond, b.shape), fresh=True)
 
     return Tensor._make(data, (a, b), backward, "where")

@@ -17,7 +17,10 @@ def _configure_hypothesis() -> None:
     """Register hypothesis profiles and pick one from the environment.
 
     ``default`` keeps local runs fast on the 1-CPU substrate; ``ci``
-    buys more coverage.  Select with ``REPRO_HYPOTHESIS_PROFILE=ci``.
+    buys more coverage; ``big`` is the nightly search of the property
+    and parity modules.  Select with ``REPRO_HYPOTHESIS_PROFILE=ci``.
+    A test that pins ``max_examples`` in its own ``@settings`` keeps it
+    under every profile.
     Guarded so the suite still collects when hypothesis is absent
     (property tests skip themselves via ``importorskip``).
     """
@@ -36,6 +39,13 @@ def _configure_hypothesis() -> None:
     )
     settings.register_profile("default", max_examples=25, **base)
     settings.register_profile("ci", max_examples=100, **base)
+    settings.register_profile(
+        "big",
+        max_examples=10000,
+        # Caps each state-machine run: at the default 50 steps, 10,000
+        # runs of the gateway's metering machine would dominate a run.
+        stateful_step_count=20,
+        **base)
     settings.load_profile(
         os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
 

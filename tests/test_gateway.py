@@ -584,6 +584,58 @@ class TestGatewayHandlers:
                 assert recovered.state(key)._buffer.tobytes() == \
                     ring._buffer.tobytes()
 
+    def test_failing_automatic_checkpoint_fails_no_tick(
+            self, artifact_dir, keys_path, tmp_path, monkeypatch):
+        # Checkpoints every 4 ticks; the first is published, then the
+        # disk fills.  Every tick still answers 200 and is charged, each
+        # failed checkpoint is counted once and retried a full interval
+        # later, and recovery from the published snapshot plus the
+        # unrotated WAL segment is bitwise.
+        from repro.durable import snapshot as snapshot_module
+
+        write_snapshot = snapshot_module.write_snapshot
+        attempts = []
+
+        def full_disk_after_first(path, state, **kwargs):
+            attempts.append(int(state["seq"]))
+            if len(attempts) > 1:
+                raise OSError(28, "No space left on device", path)
+            return write_snapshot(path, state, **kwargs)
+
+        monkeypatch.setattr(snapshot_module, "write_snapshot",
+                            full_disk_after_first)
+        snapdir = str(tmp_path / "snaps")
+        ticks = np.random.default_rng(0).normal(size=(14, N))
+        key = ("acme", "s1")
+        with ShardRouter(artifact_dir) as router:
+            gateway = Gateway(router, ApiKeyRegistry(keys_path))
+            forecaster = gateway.forecaster_for()
+            tenant_key = gateway.authenticate("k-acme")
+            with ShardedSnapshotter(forecaster, snapdir,
+                                    every=4) as snapshotter:
+                statuses = [gateway.ingest(tenant_key, {
+                    "series": "s1", "timestamp": float(index),
+                    "values": tick.tolist()}).status
+                    for index, tick in enumerate(ticks)]
+                assert statuses == [200] * len(ticks)
+                assert attempts == [4, 8, 12]
+                assert snapshotter.checkpoint_failures == 2
+                assert snapshotter.snapshotters[0].checkpoint_failures == 2
+            assert usage_of(gateway, "acme")["spent"] == \
+                len(ticks) * INGEST_UNITS
+            segments = {base: len(read_wal(path)[1])
+                        for base, path in wal_paths(snapdir, shard=0)}
+            assert segments == {0: 4, 4: len(ticks) - 4}
+            ring = forecaster.state(key)
+            assert ring.count == forecaster.seq == len(ticks)
+            with ShardRouter(artifact_dir) as fresh_router:
+                recovered = Gateway(fresh_router, ApiKeyRegistry(
+                    keys_path)).forecaster_for()
+                recovered.restore_from(snapdir)
+                assert recovered.seq == len(ticks)
+                assert recovered.state(key)._buffer.tobytes() == \
+                    ring._buffer.tobytes()
+
     def test_overflowing_forward_is_refused_in_strict_json(self, gateway,
                                                            rng):
         # Finite in float32, yet the forward overflows: the forecast is

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.infer import engine
 from repro.infer.engine import clm_block_rows
 from repro.llm import (
     BACKBONE_CONFIGS,
@@ -248,6 +252,67 @@ def pooled_oracle(clm, prompt) -> np.ndarray:
     hidden = clm.hidden_states(prompt).data
     pooled = hidden[:, -1] if clm.pooling == "last" else hidden.mean(axis=1)
     return np.ascontiguousarray(pooled)
+
+
+class TestParallelEncode:
+    """The encode deals its row blocks to one worker per usable CPU;
+    every worker count must give the one-worker bits."""
+
+    @pytest.fixture(scope="class", params=list(BACKBONE_CONFIGS))
+    def backbone(self, request, vocab):
+        return perturbed_backbone(request.param, vocab, seed=4)
+
+    @staticmethod
+    def use_cpus(monkeypatch, count: int) -> None:
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: count)
+
+    @pytest.mark.parametrize("pooling", ["last", "mean"])
+    @pytest.mark.parametrize("size", ["one", "block", "block+1", "blocks"])
+    def test_one_two_and_three_workers_agree_bitwise(
+            self, backbone, vocab, pooling, size, monkeypatch):
+        # 3 workers is more than a 2-CPU host has; the short switch
+        # interval makes the workers interleave as finely as they can.
+        clm = CalibratedLanguageModel(backbone, delta=1.0, pooling=pooling)
+        block = clm_block_rows(gt_prompts(vocab, 1).token_ids.shape[1],
+                               backbone.config.num_heads)
+        rows = {"one": 1, "block": block, "block+1": block + 1,
+                "blocks": 3 * block + 5}[size]
+        prompt = gt_prompts(vocab, rows)
+        modality = prompt.modality.copy()
+        modality[::2, 1] = 1 - modality[::2, 1]  # two bias patterns
+        prompt = TokenizedPrompt(prompt.token_ids, modality)
+        encoded = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                self.use_cpus(monkeypatch, workers)
+                encoded[workers] = clm(prompt).data.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert encoded[2] == encoded[1]
+        assert encoded[3] == encoded[1]
+
+    @pytest.mark.parametrize("failing_block", [0, 1])
+    def test_a_worker_exception_reaches_the_caller_after_every_join(
+            self, backbone, monkeypatch, failing_block):
+        # Block 0 runs on the calling thread, block 1 on the helper.  A
+        # pattern index past the bias stack makes that block's gather
+        # raise.
+        self.use_cpus(monkeypatch, 2)
+        seq = 24
+        capacity = clm_block_rows(seq, backbone.config.num_heads) // 2
+        rows = 4 * capacity
+        token_ids = np.random.default_rng(0).integers(
+            0, backbone.config.vocab_size, size=(rows, seq))
+        biases = np.zeros((2, seq, seq), dtype=np.float32)
+        bias_index = np.zeros(rows, dtype=np.int64)
+        bias_index[failing_block * capacity] = len(biases)
+        with pytest.raises(IndexError):
+            engine.encode_pooled(backbone, token_ids, biases, bias_index,
+                                 "last")
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("clm-encode")]
 
 
 class TestCompiledEncode:

@@ -219,6 +219,19 @@ class TestGraphMechanics:
         (t * 2).sum().backward()
         np.testing.assert_allclose(t.grad, [4.0])
 
+    def test_second_backward_over_one_graph_adds_one_gradient(self):
+        # Interior gradients restart each call; only leaves accumulate.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = (x * 2).sum()
+        z.backward()
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+        y = Tensor([1.0], requires_grad=True)
+        w = ((y * 3) ** 2).sum()
+        w.backward()
+        w.backward()
+        np.testing.assert_array_equal(y.grad, [36.0])
+
     def test_detach_cuts_graph(self):
         t = Tensor([1.0], requires_grad=True)
         y = (t * 3).detach()
