@@ -12,8 +12,9 @@ repo's bitwise replay-parity guarantee:
   :class:`StreamSnapshotter` adds on-demand and every-N-ticks
   checkpoint policies for that shard.
 * :mod:`~repro.durable.wal` — an append-only binary tick log covering
-  the ticks between checkpoints (write-behind, CRC-framed, torn-tail
-  aware, each key encoded once per segment), and the one file-naming
+  the ticks between checkpoints (write-ahead, CRC-framed, appended by
+  memory copies into a mapped segment, torn-tail aware, each key
+  encoded once per segment), and the one file-naming
   scheme: every file written is ``snapshot-{shard}-{seq}.npz`` or
   ``wal-{shard}-{seq}.log``.  Both read the format-1 layouts of earlier
   builds and write only format 2.
@@ -50,6 +51,7 @@ from .faults import (
     inject,
     torn_tail,
     truncate_file,
+    uncommitted_frame,
 )
 from .keys import KeyCodecError, decode_key, encode_key
 from .recover import (
@@ -79,6 +81,7 @@ from .wal import (
     chain_files,
     chain_labels,
     read_wal,
+    scan_wal,
     wal_paths,
 )
 
@@ -93,6 +96,7 @@ __all__ = [
     "inject",
     "torn_tail",
     "truncate_file",
+    "uncommitted_frame",
     "KeyCodecError",
     "decode_key",
     "encode_key",
@@ -119,5 +123,6 @@ __all__ = [
     "chain_files",
     "chain_labels",
     "read_wal",
+    "scan_wal",
     "wal_paths",
 ]

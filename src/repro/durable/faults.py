@@ -13,7 +13,9 @@ Two families of faults, both seed-driven and reproducible:
   :func:`truncate_file` (partial write / lost tail), :func:`flip_byte`
   (bit rot at a seeded offset), :func:`flip_digest_byte` (targeted
   tamper of a snapshot's recorded digest), :func:`torn_tail` (a WAL
-  record cut mid-frame, as an un-fsynced crash leaves it).
+  record cut mid-frame, as lost pages leave it), and
+  :func:`uncommitted_frame` (a WAL record whose append a crash
+  interrupted before its marker).
 
 Tests use these to prove every recovery stage *fails closed*: a damaged
 artifact must land the :class:`~repro.durable.shard.ShardedRecoverer`
@@ -39,6 +41,7 @@ __all__ = [
     "inject",
     "torn_tail",
     "truncate_file",
+    "uncommitted_frame",
 ]
 
 
@@ -158,18 +161,64 @@ def flip_digest_byte(path: str) -> str:
 
 def torn_tail(path: str, *, drop_bytes: int | None = None,
               seed: int = 0) -> int:
-    """Tear the last bytes off ``path`` (an un-fsynced crash mid-record).
+    """Tear the last committed record of WAL segment ``path`` (pages
+    lost mid-record, as an un-fsynced machine crash leaves them).
 
-    Drops ``drop_bytes`` from the end, or a seeded 1..16 bytes.  Returns
-    how many bytes were dropped.
+    Cuts ``drop_bytes`` — or a seeded 1..16 — off the end of the last
+    committed record, along with any zero tail an open segment has
+    after it.  Returns how many record bytes were dropped.
     """
-    size = os.path.getsize(path)
+    from .wal import scan_wal
+
+    end = scan_wal(path)[2]
     if drop_bytes is None:
         drop_bytes = int(np.random.default_rng(seed).integers(
-            1, min(16, max(2, size // 2))))
+            1, min(16, max(2, end // 2))))
     drop_bytes = int(drop_bytes)
-    if not 1 <= drop_bytes < size:
-        raise ValueError(f"drop_bytes {drop_bytes} outside [1, {size})")
+    if not 1 <= drop_bytes < end:
+        raise ValueError(f"drop_bytes {drop_bytes} outside [1, {end})")
     with open(path, "r+b") as handle:
-        handle.truncate(size - drop_bytes)
+        handle.truncate(end - drop_bytes)
     return drop_bytes
+
+
+#: What of its frame an interrupted append had copied, besides the head.
+_WRITTEN = ("head", "part", "body")
+
+
+def uncommitted_frame(path: str, *, written: str = "body",
+                      seed: int = 0) -> int:
+    """Leave WAL segment ``path`` as a crash inside the append of its
+    last committed record would have: that record's marker unwritten.
+
+    ``written`` is how far the copy got: ``"body"`` (the whole frame
+    but the marker), ``"part"`` (the head and a seeded prefix of the
+    body) or ``"head"`` (the head alone); the rest of the frame is
+    zeros, as preallocation left it.  Bytes after the record stay as
+    they are.  Returns the frame's offset.
+    """
+    from .wal import _FRAME, _FRAME_SIZE, _RECORD_MAGIC, WAL_MAGIC, scan_wal
+
+    if written not in _WRITTEN:
+        raise ValueError(f"written must be one of {_WRITTEN}, "
+                         f"got {written!r}")
+    end = scan_wal(path)[2]
+    with open(path, "r+b") as handle:
+        blob = handle.read(end)
+        # Records start after the magic line and the JSON header line.
+        start = blob.index(b"\n", len(WAL_MAGIC)) + 1
+        while True:
+            if start >= end:
+                raise ValueError(f"{path!r} holds no committed record")
+            length, _ = _FRAME.unpack_from(blob, start + len(_RECORD_MAGIC))
+            if start + _FRAME_SIZE + length == end:
+                break
+            start += _FRAME_SIZE + length
+        cut = {"head": 0, "body": length,
+               "part": int(np.random.default_rng(seed).integers(
+                   1, length))}[written]
+        handle.seek(start)
+        handle.write(bytes(len(_RECORD_MAGIC)))
+        handle.seek(start + _FRAME_SIZE + cut)
+        handle.write(bytes(length - cut))
+    return start

@@ -331,7 +331,7 @@ class StreamSnapshotter:
     forecaster:
         The shard's :class:`StreamingForecaster`.  The snapshotter
         hooks its append path (under the forecaster lock), so every
-        accepted tick is observed exactly once.
+        accepted tick is logged and observed exactly once.
     directory:
         Where ``snapshot-{shard}-{seq}.npz`` and
         ``wal-{shard}-{seq}.log`` files live.
@@ -340,18 +340,21 @@ class StreamSnapshotter:
         (``0`` = on-demand :meth:`checkpoint` only).  An automatic
         checkpoint whose snapshot write raises ``OSError`` or
         :class:`SnapshotError` (a full disk, say) does not fail the tick
-        that triggered it: the tick is already ingested and logged.  It
+        that triggered it: the tick is already logged and ingested.  It
         is counted in :attr:`checkpoint_failures` and retried a full
         interval later; the WAL segment is not rotated meanwhile, so
         recovery still chains the last published snapshot and that
-        segment.
+        segment.  A checkpoint whose next WAL segment cannot be opened
+        fails the same way (see :meth:`checkpoint`).
     wal:
         Keep an append-only tick log between checkpoints, so ticks
-        after the last snapshot replay during recovery.  Write-behind:
-        a tick is logged only after ingestion accepted it.
+        after the last snapshot replay during recovery.  Write-ahead:
+        a validated tick is logged before it is applied, and a tick
+        whose record cannot be written is refused.
     fsync:
-        Fsync every WAL record (crash-proof against machine, not just
-        process, death — at a per-tick latency cost).
+        Sync every WAL record to disk before its append returns
+        (crash-proof against machine, not just process, death — at a
+        per-tick latency cost).
     keep:
         How many recent snapshots to retain; older snapshots and WAL
         segments no recoverable chain needs are pruned at checkpoint.
@@ -403,11 +406,17 @@ class StreamSnapshotter:
                        artifact_digest=self._artifact_digest,
                        fsync=self.fsync)
 
-    # called from StreamingForecaster.append, under the forecaster lock
+    # called from StreamingForecaster.append, under the forecaster lock,
+    # before the tick is applied: an error here refuses the tick
     # requires-lock: forecaster._lock
-    def observe(self, key, timestamp: float, values, seq: int) -> None:
+    def log(self, key, timestamp: float, values, seq: int) -> None:
         if self._wal is not None:
             self._wal.append(seq, key, timestamp, values)
+
+    # called from StreamingForecaster.append, under the forecaster lock,
+    # once the tick is applied and sequenced
+    # requires-lock: forecaster._lock
+    def observe(self) -> None:
         self._ticks_since += 1
         if self.every > 0 and self._ticks_since >= self.every:
             try:
@@ -422,7 +431,12 @@ class StreamSnapshotter:
         The snapshot, the rotation and the counter reset all happen
         under the forecaster lock, so the new WAL segment's base
         sequence is exactly the snapshot's — recovery chains them
-        without guessing.
+        without guessing.  The new segment is open, and preallocated,
+        before the old one closes, so a crash at any point finds one of
+        them mapped.  When the new segment cannot be opened (a full
+        disk), the snapshot is removed again and the old segment stays
+        active: a recovery from that snapshot would skip the ticks the
+        old segment goes on logging.
         """
         with self.forecaster._lock:
             state = self.forecaster.export_state()
@@ -431,9 +445,15 @@ class StreamSnapshotter:
             path = write_snapshot(
                 path, state, artifact_digest=self._artifact_digest,
                 shard=self.shard)
-            if self._wal is not None:
+            # A segment based at seq holds no tick yet: nothing to rotate.
+            if self._wal is not None and self._wal.base_seq != seq:
+                try:
+                    wal = self._open_wal(seq)
+                except BaseException:
+                    os.unlink(path)
+                    raise
                 self._wal.close()
-                self._wal = self._open_wal(seq)
+                self._wal = wal
             self._ticks_since = 0
             self._prune()
             return path

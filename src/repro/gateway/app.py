@@ -19,6 +19,10 @@ Every priced endpoint runs the same pipeline, in this order::
                           -> 400  forecast not finite (released)
                           -> 5xx (reservation released)
 
+An ingest is all-or-nothing — the whole tick or run is logged and
+applied, or nothing is (a WAL write that fails, say on a full disk,
+answers 500) — so a 200 settles its reservation with one ``commit``.
+
 The ordering is the load-shedding contract: a ``429``/``503`` happens
 *before work is enqueued* and leaves tenant state bit-for-bit unchanged
 (reserve/release round-trips are free), so a saturated or over-quota
@@ -356,11 +360,9 @@ class Gateway:
             reservation.release()
             self._shed("errors")
             return Response(500, {"error": INTERNAL_ERROR})
-        # Commit exactly what was accepted (the whole run — append is
-        # all-or-nothing) via the split idiom, release any remainder.
-        accepted, remainder = reservation.split(self.ingest_units * rows)
-        accepted.commit()
-        remainder.release()
+        # append is all-or-nothing: the whole run landed, so every
+        # reserved unit is spent.
+        reservation.commit()
         with self._lock:
             self.stats.ingest_calls += 1
             self.stats.ingested_ticks += rows

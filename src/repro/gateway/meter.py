@@ -6,10 +6,10 @@ request units, and every priced operation first carves a
 :class:`UnitReservation` out of the pool (units move from *remaining*
 to *reserved*), then either **commits** it (units become *spent*,
 irrevocably) or **releases** it (units return to *remaining*, as if
-never touched).  Reservations can be **split** — bulk ingest commits
-exactly the ticks that were accepted and releases the rest — and pools
-can be **expanded** when an operator raises a tenant's quota in the key
-file (hot reload picks it up).
+never touched).  Reservations can be **split**, to commit the part
+that was used and release the rest, and pools can be **expanded** when
+an operator raises a tenant's quota in the key file (hot reload picks
+it up).
 
 The invariant the whole gateway leans on, checked by the hypothesis
 stateful suite::
@@ -78,8 +78,8 @@ class UnitReservation:
 
     def split(self, units: int) -> tuple["UnitReservation", "UnitReservation"]:
         """Divide into ``(first, rest)`` reservations of ``units`` and
-        the remainder — the pass-group ``split`` idiom, used by bulk
-        ingest to commit accepted ticks and release the rejected tail.
+        the remainder — the pass-group ``split`` idiom, for an
+        operation that commits part of what it reserved.
         """
         units = int(units)
         if not 0 <= units <= self.units:
@@ -193,7 +193,12 @@ class Meter:
 
     def account(self, tenant: str,
                 issued: int | None = None) -> TenantAccount:
-        """The tenant's account, created (or expanded) to ``issued``."""
+        """The tenant's account, created (or expanded) to ``issued``.
+
+        One critical section: the account shares this meter's lock, so
+        a grown quota is expanded (as :meth:`TenantAccount.expand`
+        would) without a second acquisition.
+        """
         with self._lock:
             found = self._accounts.get(tenant)
             if found is None:
@@ -202,8 +207,8 @@ class Meter:
                     self.default_units if issued is None else issued,
                     self._lock)
                 self._accounts[tenant] = found
-        if issued is not None:
-            found.expand(issued)
+            elif issued is not None and int(issued) > found.issued:
+                found.issued = int(issued)
         return found
 
     def tenants(self) -> list[str]:

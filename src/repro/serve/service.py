@@ -193,6 +193,7 @@ class ForecastService:
     GUARDED_BY = {
         "stats": ("_lock", "_wake"),
         "_paths": ("_lock", "_wake"),
+        "_resolved": ("_lock", "_wake"),
         "_models": ("_lock", "_wake"),
         "_pending": ("_lock", "_wake"),
         "_queue_depth": ("_lock", "_wake"),
@@ -216,6 +217,9 @@ class ForecastService:
         self.stats = ServiceStats()
 
         self._paths: dict[tuple[str, int], str] = {}
+        #: ``(dataset, horizon)`` → the key it resolved to; ``scan()``
+        #: empties it.
+        self._resolved: dict = {}
         self._models: OrderedDict[tuple[str, int], _LoadedModel] = OrderedDict()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -238,6 +242,7 @@ class ForecastService:
         paths = scan_artifact_dir(self.artifact_dir)
         with self._lock:
             self._paths = paths
+            self._resolved = {}
         return dict(paths)
 
     def keys(self) -> list[tuple[str, int]]:
@@ -254,8 +259,23 @@ class ForecastService:
 
     def resolve_key(self, dataset: str | None = None,
                     horizon: int | None = None) -> tuple[str, int]:
+        """The registry key serving ``(dataset, horizon)``; ``None``
+        matches anything, so one bundle answers ``(None, None)``.
+
+        A resolved pair is remembered until the next :meth:`scan`, so
+        every tick and submit after the first is one dict lookup.
+        Raises ``KeyError`` when no bundle or several bundles match.
+        """
         with self._lock:
-            keys = list(self._paths)
+            key = self._resolved.get((dataset, horizon))
+            if key is None:
+                key = self._match(dataset, horizon)
+                self._resolved[(dataset, horizon)] = key
+        return key
+
+    # requires-lock: _lock
+    def _match(self, dataset, horizon) -> tuple[str, int]:
+        keys = list(self._paths)
         if dataset is None and horizon is None and len(keys) == 1:
             return keys[0]
         matches = [k for k in keys

@@ -116,9 +116,20 @@ class StreamingForecaster:
         cadence boundary (resolving to the ``(M, N)`` forecast), else
         ``None``.  The future is also cached — :meth:`latest` serves it
         without blocking the ingest path.
+
+        Write-ahead: the tick is validated, then logged by an attached
+        snapshotter, and only then applied and sequenced.  A tick that
+        fails validation or logging (a full disk, say) raises with
+        nothing applied, so the rings never run ahead of the log.
         """
         with self._lock:
-            result = self.ingestor.append(key, timestamp, values)
+            tick = self.ingestor.check(key, timestamp, values)
+            snapshotter = self._snapshotter
+            if snapshotter is not None:
+                snapshotter.log(key, tick.timestamp, tick.values,
+                                self._seq + 1)
+            result = self.ingestor.append(key, timestamp, values,
+                                          checked=tick)
             state = self.ingestor.state(key)
             self.stats.ticks += result.observed
             self.stats.rows += result.rows
@@ -132,8 +143,8 @@ class StreamingForecaster:
             if self.cadence > 0 and state.ready and pending >= self.cadence:
                 future = self._issue(key, state)
             self._seq += 1
-            if self._snapshotter is not None:
-                self._snapshotter.observe(key, timestamp, values, self._seq)
+            if snapshotter is not None:
+                snapshotter.observe()
             return future
 
     def forecast(self, key) -> np.ndarray:
@@ -166,8 +177,8 @@ class StreamingForecaster:
         """Submit ``key``'s window; a refused submit (for example on a
         closed service) comes back as a failed future, not a raise.
 
-        From :meth:`append` the ring has already taken the tick, so
-        raising here would leave it unsequenced and unlogged.
+        From :meth:`append` the tick is already logged and the ring
+        has taken it, so raising here would leave it unsequenced.
         """
         self._pending[key] = 0
         try:

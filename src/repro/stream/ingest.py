@@ -21,8 +21,8 @@ import numpy as np
 
 from .state import SeriesState
 
-__all__ = ["GAP_POLICIES", "IngestResult", "StreamError", "StreamGapError",
-           "StreamIngestor"]
+__all__ = ["GAP_POLICIES", "CheckedTick", "IngestResult", "StreamError",
+           "StreamGapError", "StreamIngestor"]
 
 GAP_POLICIES = ("error", "ffill", "interpolate")
 
@@ -62,6 +62,24 @@ class IngestResult:
     @property
     def rows(self) -> int:
         return self.observed + self.filled
+
+
+class CheckedTick:
+    """A tick or run :meth:`StreamIngestor.check` accepted for one key.
+
+    ``values`` is the caller's array as float64 in its own shape,
+    ``rows`` the same data as ``(T, N)``, ``missing`` the ticks the gap
+    policy fills before it.
+    """
+
+    __slots__ = ("values", "rows", "timestamp", "missing")
+
+    def __init__(self, values: np.ndarray, rows: np.ndarray,
+                 timestamp: float, missing: int):
+        self.values = values
+        self.rows = rows
+        self.timestamp = timestamp
+        self.missing = missing
 
 
 @dataclass
@@ -183,13 +201,14 @@ class StreamIngestor:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def append(self, key, timestamp: float,
-               values: np.ndarray) -> IngestResult:
-        """Ingest one tick (``(N,)``) or a tick run (``(T, N)``).
+    def check(self, key, timestamp: float, values) -> CheckedTick:
+        """Validate one tick (``(N,)``) or tick run (``(T, N)``) for
+        ``key`` without changing any state.
 
-        A ``(T, N)`` run is interpreted as ``T`` consecutive ticks
-        starting at ``timestamp`` — the bulk path for warm-starting a
-        series from recent history.
+        :meth:`append` applies the result; the streaming forecaster
+        logs the tick between the two (write-ahead).  An empty run is
+        accepted and applies nothing, but only for a key that already
+        has a stream (``KeyError`` otherwise).
 
         Raises
         ------
@@ -201,29 +220,29 @@ class StreamIngestor:
             than ``max_gap`` under any policy.
         """
         values = np.asarray(values, dtype=np.float64)
-        squeeze = values.ndim == 1
-        if squeeze:
-            values = values[None]
-        if values.ndim != 2 or values.shape[1] != self.num_variables:
+        rows = values[None] if values.ndim == 1 else values
+        if rows.ndim != 2 or rows.shape[1] != self.num_variables:
             raise StreamError(
                 f"values for {key!r} must have shape "
                 f"({self.num_variables},) or (T, {self.num_variables}), "
                 f"got {values.shape}")
-        if len(values) == 0:
-            return IngestResult(observed=0, filled=0)
-        # One pass covers NaN (every comparison is False), inf and
-        # values that would overflow the float32 cast.
-        representable = np.abs(values) <= _MAX_VALUE
-        if not representable.all():
-            bad = int((~representable).sum())
+        stream = self._streams.get(key)
+        timestamp = float(timestamp)
+        if len(rows) == 0:
+            if stream is None:
+                raise KeyError(f"unknown stream key {key!r}")
+            return CheckedTick(values, rows, timestamp, 0)
+        # One reduction covers NaN (it propagates, and every comparison
+        # with it is False), inf and values that would overflow the
+        # float32 cast.
+        if not np.maximum.reduce(np.abs(rows), axis=None) <= _MAX_VALUE:
+            bad = int((~(np.abs(rows) <= _MAX_VALUE)).sum())
             raise StreamError(
                 f"tick at {timestamp} for {key!r} carries {bad} "
                 f"non-finite value(s) (NaN, inf or beyond float32)")
 
-        timestamp = float(timestamp)
-        stream = self._stream_for(key)
-        filled = 0
-        if stream.last_timestamp is not None:
+        missing = 0
+        if stream is not None and stream.last_timestamp is not None:
             steps = (timestamp - stream.last_timestamp) / self.interval
             if steps <= 0:
                 raise StreamError(
@@ -244,20 +263,41 @@ class StreamIngestor:
                     f"{self.interval}-interval grid (last tick "
                     f"{stream.last_timestamp})")
             missing = int(rounded) - 1
-            if missing > 0:
-                filled = self._fill_gap(key, stream, missing, values[0])
-                stream.gaps += 1  # only gaps that were actually handled
-        stream.state.extend(values)
-        stream.last_timestamp = timestamp + (len(values) - 1) * self.interval
-        return IngestResult(observed=len(values), filled=filled)
+            if missing > 0 and (self.policy == "error"
+                                or missing > self.max_gap):
+                detail = ("" if self.policy == "error"
+                          else f" (> max_gap={self.max_gap})")
+                raise StreamGapError(
+                    f"{missing} missing tick(s) for {key!r}{detail}")
+        return CheckedTick(values, rows, timestamp, missing)
 
-    def _fill_gap(self, key, stream: _KeyedStream, missing: int,
+    def append(self, key, timestamp: float, values: np.ndarray, *,
+               checked: CheckedTick | None = None) -> IngestResult:
+        """Ingest one tick (``(N,)``) or a tick run (``(T, N)``).
+
+        A ``(T, N)`` run is interpreted as ``T`` consecutive ticks
+        starting at ``timestamp`` — the bulk path for warm-starting a
+        series from recent history.  The tick is validated by
+        :meth:`check` (and raises as it does) unless ``checked`` passes
+        that method's result for the same arguments.
+        """
+        tick = self.check(key, timestamp, values) if checked is None \
+            else checked
+        rows = tick.rows
+        if len(rows) == 0:
+            return IngestResult(observed=0, filled=0)
+        stream = self._stream_for(key)
+        filled = 0
+        if tick.missing:
+            filled = self._fill_gap(stream, tick.missing, rows[0])
+            stream.gaps += 1  # only gaps that were actually handled
+        stream.state.extend(rows)
+        stream.last_timestamp = (tick.timestamp
+                                 + (len(rows) - 1) * self.interval)
+        return IngestResult(observed=len(rows), filled=filled)
+
+    def _fill_gap(self, stream: _KeyedStream, missing: int,
                   next_row: np.ndarray) -> int:
-        if self.policy == "error" or missing > self.max_gap:
-            detail = ("" if self.policy == "error"
-                      else f" (> max_gap={self.max_gap})")
-            raise StreamGapError(
-                f"{missing} missing tick(s) for {key!r}{detail}")
         last_row = stream.state.last()
         if self.policy == "ffill":
             fill = np.tile(last_row, (missing, 1))

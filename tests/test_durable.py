@@ -13,7 +13,9 @@ with a specific ``failure_reason`` and never a partial import.
 
 from __future__ import annotations
 
+import errno
 import json
+import mmap
 import os
 import struct
 import zlib
@@ -47,11 +49,14 @@ from repro.durable import (
     inject,
     latest_snapshot,
     read_wal,
+    scan_wal,
     snapshot_paths,
     truncate_file,
+    uncommitted_frame,
     wal_paths,
     write_snapshot,
 )
+from repro.durable import wal as wal_module
 from repro.durable.faults import torn_tail
 from repro.durable.snapshot import state_from_arrays, verify_snapshot
 from repro.durable.wal import WAL_MAGIC, chain_path
@@ -261,18 +266,29 @@ def downgrade_to_format1(snapdir: str) -> None:
 
 
 def wal_frames(path: str) -> list:
-    """``[(offset, magic, body)]`` of every record frame after the
-    header — the framing walked independently of :func:`read_wal`."""
+    """``[(offset, magic, body)]`` of every committed record frame after
+    the header, up to an open segment's zero tail — the framing walked
+    independently of :func:`read_wal`."""
     with open(path, "rb") as handle:
         blob = handle.read()
     offset = blob.index(b"\n", len(WAL_MAGIC)) + 1
     frames = []
-    while offset < len(blob):
+    while offset < len(blob) and blob[offset:offset + 4] != bytes(4):
         length, _ = struct.unpack_from("<II", blob, offset + 4)
         frames.append((offset, blob[offset:offset + 4],
                        blob[offset + 12:offset + 12 + length]))
         offset += 12 + length
     return frames
+
+
+def assert_open_segment(path: str, durable_size: int) -> None:
+    """An open (or crashed) segment: its records end at
+    ``durable_size``, and the preallocated bytes after them are zeros."""
+    assert scan_wal(path)[2] == durable_size
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    assert len(blob) > durable_size
+    assert not blob[durable_size:].strip(b"\0")
 
 
 def states_bitwise_equal(a, b):
@@ -409,8 +425,11 @@ class TestTickWAL:
         header_size = wal.durable_size
         wal.append(1, "k", 0.0, rng.normal(size=N))
         assert wal.durable_size > header_size
-        assert wal.durable_size == os.path.getsize(path)
+        # Open: the committed records end at durable_size and the
+        # preallocated rest is zeros.  Closed: the rest is gone.
+        assert_open_segment(path, wal.durable_size)
         wal.close()
+        assert wal.durable_size == os.path.getsize(path)
 
     def test_tear_anywhere_in_the_final_record_trims_to_it(self, tmp_path,
                                                             rng):
@@ -470,6 +489,203 @@ class TestTickWAL:
         assert [r["key"] for r in records] == ["k"]
         with pytest.raises(WALError, match="format-1 records"):
             TickWAL(path, 0)  # ...never appended to
+
+
+# ----------------------------------------------------------------------
+# the mapped segment: what a crash at any point of an append leaves
+# ----------------------------------------------------------------------
+def file_bytes(path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def segment(path, ticks, *, close: bool = True) -> TickWAL:
+    """Log ``ticks`` (``(seq, key, timestamp, values)``) into a fresh
+    segment at ``path``; without ``close`` the writer is killed: its
+    mapping and file go as a ``kill -9``'s exit drops them, with no
+    truncation."""
+    wal = TickWAL(str(path), 0)
+    for tick in ticks:
+        wal.append(*tick)
+    if close:
+        wal.close()
+    else:
+        wal._mapping.close()
+        wal._file.close()
+    return wal
+
+
+@pytest.fixture()
+def ticks(rng) -> list:
+    rows = rng.normal(size=(3, N))
+    return [(1, "a", 0.0, rows[0]), (2, "a", 1.0, rows[1]),
+            (3, ("b", 2), 2.0, rows[2])]
+
+
+class TestMappedSegment:
+    def test_crashed_segment_reads_clean_before_its_zero_tail(
+            self, tmp_path, ticks):
+        path = str(tmp_path / "wal-0-000000000000.log")
+        victim = segment(path, ticks, close=False)
+        assert_open_segment(path, victim.durable_size)
+        header, records = read_wal(path)  # strict: a zero tail is clean
+        assert [record["seq"] for record in records] == [1, 2, 3]
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("written", ["head", "part", "body"])
+    def test_uncommitted_frame_reads_clean_and_reopens_uncrashed(
+            self, tmp_path, ticks, written, closed):
+        path = str(tmp_path / "wal-0-000000000000.log")
+        segment(path, ticks, close=closed)
+        start = uncommitted_frame(path, written=written, seed=3)
+        _, records = read_wal(path)
+        assert [record["seq"] for record in records] == [1, 2]
+        assert scan_wal(path)[2] == start
+        # Reopening then closing leaves what an uncrashed writer of the
+        # committed ticks leaves; logging the lost tick again, what one
+        # of all of them leaves.
+        with TickWAL(path, 0) as wal:
+            assert wal.durable_size == start
+        segment(tmp_path / "two.log", ticks[:2])
+        assert file_bytes(path) == file_bytes(tmp_path / "two.log")
+        with TickWAL(path, 0) as wal:
+            wal.append(*ticks[2])
+        segment(tmp_path / "three.log", ticks)
+        assert file_bytes(path) == file_bytes(tmp_path / "three.log")
+
+    @pytest.mark.parametrize("marker", [b"T\0\0\0", b"\0I\0K", b"TIC\0"])
+    def test_partly_written_marker_is_uncommitted(self, tmp_path, ticks,
+                                                  marker):
+        path = str(tmp_path / "wal-0-000000000000.log")
+        segment(path, ticks, close=False)
+        start = wal_frames(path)[2][0]
+        with open(path, "r+b") as handle:
+            handle.seek(start)
+            handle.write(marker)
+        _, records = read_wal(path)
+        assert [record["seq"] for record in records] == [1, 2]
+        assert scan_wal(path)[2] == start
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("zeroed", ["marker", "record"])
+    def test_zeroed_record_before_committed_ones_is_torn(
+            self, tmp_path, ticks, zeroed, closed):
+        # Only the last frame can be uncommitted: a zero marker with a
+        # committed record after it is damage, never a silent end.
+        path = str(tmp_path / "wal-0-000000000000.log")
+        segment(path, ticks, close=closed)
+        start, _, body = wal_frames(path)[1]
+        width = 4 if zeroed == "marker" else 12 + len(body)
+        with open(path, "r+b") as handle:
+            handle.seek(start)
+            handle.write(bytes(width))
+        with pytest.raises(TornWALError) as info:
+            read_wal(path)
+        assert info.value.good_offset == start
+        assert [record["seq"] for record in info.value.records] == [1]
+
+    def test_records_straddle_extensions_and_window_moves(
+            self, tmp_path, rng, monkeypatch):
+        # One-page growth: records cross page boundaries, extensions
+        # and window moves, and a 600-row run outgrows a whole step.
+        monkeypatch.setattr(wal_module, "_GROWTH", mmap.PAGESIZE)
+        path = str(tmp_path / "wal-0-000000000000.log")
+        logged = []
+        windows = set()
+        with TickWAL(path, 0) as wal:
+            for seq in range(1, 301):
+                rows = 600 if seq == 150 else int(rng.integers(1, 20))
+                tick = (seq, ("k", seq % 5), float(seq),
+                        rng.normal(size=(rows, N)))
+                wal.append(*tick)
+                logged.append(tick)
+                windows.add(wal._window)
+                # The window never maps more than a growth step, a page
+                # and the largest record.
+                assert len(wal._mapping) <= 2 * mmap.PAGESIZE + 600 * 8 * N
+            assert_open_segment(path, wal.durable_size)
+            assert [r["seq"] for r in read_wal(path)[1]] == \
+                list(range(1, 301))
+        assert len(windows) > 10
+        _, records = read_wal(path)
+        for record, (seq, key, timestamp, values) in zip(records, logged):
+            assert (record["seq"], record["key"], record["timestamp"]) \
+                == (seq, key, timestamp)
+            assert record["values"].tobytes() == values.tobytes()
+
+    def test_fsync_syncs_each_record_before_append_returns(
+            self, tmp_path, ticks, monkeypatch):
+        syncs, fsyncs = [], []
+
+        class SpyMap(mmap.mmap):
+            def flush(self, offset, size):
+                syncs.append((offset, size, bytes(self[offset:offset + size])))
+                return super().flush(offset, size)
+
+        real_fsync = os.fsync
+        monkeypatch.setattr(wal_module.mmap, "mmap", SpyMap)
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        path = str(tmp_path / "wal-0-000000000000.log")
+        wal = TickWAL(path, 0, fsync=True)
+        # The header and the preallocation are fsynced at open.
+        assert len(fsyncs) == 2
+        for count, tick in enumerate(ticks, 1):
+            start = wal.durable_size - wal._window
+            wal.append(*tick)
+            stop = wal.durable_size - wal._window
+            assert len(syncs) == count  # one msync per record...
+            offset, size, synced = syncs[-1]
+            # ...over its page-aligned range, after its marker was written
+            assert offset % mmap.PAGESIZE == 0
+            assert offset <= start and stop <= offset + size
+            assert synced[start - offset:start - offset + 4] == b"TICK"
+        assert len(fsyncs) == 2  # no extension: appends only msync
+        wal.close()
+        assert len(fsyncs) == 3
+        assert [r["seq"] for r in read_wal(path)[1]] == [1, 2, 3]
+
+    def test_full_disk_refuses_the_record_and_continues(
+            self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(wal_module, "_GROWTH", mmap.PAGESIZE)
+        real_pwrite = os.pwrite
+        full = []
+
+        def pwrite(fd, data, offset):
+            if full:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        path = str(tmp_path / "wal-0-000000000000.log")
+        logged = [(seq, "k", float(seq), rng.normal(size=N))
+                  for seq in range(1, 200)]
+        wal = TickWAL(path, 0)
+        seq = 0
+        while not full:
+            seq += 1
+            before = wal._size
+            wal.append(*logged[seq - 1])
+            if wal._size > before:
+                full.append(seq)  # the disk fills after this extension
+        with pytest.raises(OSError) as info:
+            while True:  # until a record needs the next extension
+                seq += 1
+                durable = wal.durable_size
+                wal.append(*logged[seq - 1])
+        assert info.value.errno == errno.ENOSPC
+        # Nothing of the refused record was logged: a crash now reads
+        # every earlier record, cleanly.
+        assert wal.durable_size == durable
+        assert_open_segment(path, durable)
+        assert [r["seq"] for r in read_wal(path)[1]] == \
+            list(range(1, seq))
+        full.clear()  # space again: the record is logged on retry
+        for retry in range(seq, len(logged) + 1):
+            wal.append(*logged[retry - 1])
+        wal.close()
+        segment(tmp_path / "never-full.log", logged)
+        assert file_bytes(path) == file_bytes(tmp_path / "never-full.log")
 
 
 # ----------------------------------------------------------------------

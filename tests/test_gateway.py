@@ -11,6 +11,7 @@ forecasts over sockets are bitwise identical to in-process
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import socket
@@ -29,7 +30,13 @@ import pytest
 from repro.core import TimeKDConfig
 from repro.core.student import StudentModel
 from repro.data import StandardScaler
-from repro.durable import ShardedSnapshotter, read_wal, wal_paths
+from repro.durable import (
+    ShardedSnapshotter,
+    TickWAL,
+    read_wal,
+    snapshot_paths,
+    wal_paths,
+)
 from repro.gateway import (
     INGEST_UNITS,
     MAX_BODY_BYTES,
@@ -635,6 +642,200 @@ class TestGatewayHandlers:
                 assert recovered.seq == len(ticks)
                 assert recovered.state(key)._buffer.tobytes() == \
                     ring._buffer.tobytes()
+
+    @pytest.mark.parametrize("fault", ["extension", "write"])
+    def test_failed_wal_write_refuses_the_tick(
+            self, artifact_dir, keys_path, tmp_path, monkeypatch, fault):
+        # One WAL write fails once: the segment cannot grow on a full
+        # disk (one-page growth, so an append soon needs to), or the
+        # record write itself raises, on the sixth tick.  Write-ahead,
+        # that tick answers 500, costs nothing and changes nothing, so
+        # the client's retry lands and the log has no gap: recovery
+        # from the WAL alone is bitwise.
+        from repro.durable import wal as wal_module
+
+        failures = []
+
+        def fail_once(where):
+            if failing and not failures:
+                failures.append(where)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(wal_module, "_GROWTH", 1, raising=False)
+        real_pwrite, real_append = os.pwrite, TickWAL.append
+
+        def pwrite(fd, data, offset):
+            if fault == "extension":
+                fail_once(len(statuses))
+            return real_pwrite(fd, data, offset)
+
+        def append(wal, *args):
+            if fault == "write":
+                fail_once(len(statuses))
+            return real_append(wal, *args)
+
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        monkeypatch.setattr(TickWAL, "append", append)
+        failing = False
+        snapdir = str(tmp_path / "snaps")
+        ticks = np.random.default_rng(0).normal(size=(60, N))
+        key = ("acme", "s1")
+        statuses = []
+        with ShardRouter(artifact_dir) as router:
+            gateway = Gateway(router, ApiKeyRegistry(keys_path))
+            forecaster = gateway.forecaster_for()
+            tenant_key = gateway.authenticate("k-acme")
+            with ShardedSnapshotter(forecaster, snapdir, every=0):
+                for index, tick in enumerate(ticks):
+                    failing = index >= 5
+                    payload = {"series": "s1", "timestamp": float(index),
+                               "values": tick.tolist()}
+                    statuses.append(gateway.ingest(tenant_key,
+                                                   payload).status)
+                    if statuses[-1] == 500:  # the client retries
+                        statuses.append(gateway.ingest(tenant_key,
+                                                       payload).status)
+            ring = forecaster.state(key)
+            with ShardRouter(artifact_dir) as fresh_router:
+                recovered = Gateway(fresh_router, ApiKeyRegistry(
+                    keys_path)).forecaster_for()
+                recovered.restore_from(snapdir)
+                assert recovered.seq == len(ticks)
+                assert recovered.state(key)._buffer.tobytes() == \
+                    ring._buffer.tobytes()
+            records = [record for _, path in wal_paths(snapdir, shard=0)
+                       for record in read_wal(path)[1]]
+            assert [record["seq"] for record in records] == \
+                list(range(1, len(ticks) + 1))
+            assert ring.count == forecaster.seq == len(ticks)
+            (failed,) = failures
+            assert failed >= 5 and (fault == "extension" or failed == 5)
+            assert statuses == [200] * failed + [500] \
+                + [200] * (len(ticks) - failed)
+            usage = usage_of(gateway, "acme")
+            assert usage["spent"] == len(ticks) * INGEST_UNITS
+            assert usage["reserved"] == 0
+
+    def test_failed_wal_rotation_keeps_the_old_segment(
+            self, artifact_dir, keys_path, tmp_path, monkeypatch):
+        # Checkpoints every 4 ticks; the segment the second checkpoint
+        # rotates to cannot be created (a full disk).  That checkpoint
+        # fails and takes its snapshot back, the old segment stays
+        # active, every tick still answers 200, and recovery is
+        # bitwise.
+        from repro.durable import wal as wal_module
+
+        real_write = wal_module.atomic_write_bytes
+        headers = []
+
+        def write_header(path, blob, fsync=False):
+            headers.append(path)
+            if len(headers) == 3:  # wal-0-0, wal-0-4, then wal-0-8
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(path, blob, fsync=fsync)
+
+        monkeypatch.setattr(wal_module, "atomic_write_bytes", write_header)
+        snapdir = str(tmp_path / "snaps")
+        ticks = np.random.default_rng(0).normal(size=(14, N))
+        key = ("acme", "s1")
+        with ShardRouter(artifact_dir) as router:
+            gateway = Gateway(router, ApiKeyRegistry(keys_path))
+            forecaster = gateway.forecaster_for()
+            tenant_key = gateway.authenticate("k-acme")
+            with ShardedSnapshotter(forecaster, snapdir,
+                                    every=4) as snapshotter:
+                statuses = [gateway.ingest(tenant_key, {
+                    "series": "s1", "timestamp": float(index),
+                    "values": tick.tolist()}).status
+                    for index, tick in enumerate(ticks)]
+                assert snapshotter.checkpoint_failures == 1
+            assert statuses == [200] * len(ticks)
+            assert [seq for seq, _ in snapshot_paths(snapdir)] == [4, 12]
+            segments = {base: [record["seq"] for record in read_wal(path)[1]]
+                        for base, path in wal_paths(snapdir, shard=0)}
+            assert segments == {0: [1, 2, 3, 4], 4: list(range(5, 13)),
+                                12: [13, 14]}
+            ring = forecaster.state(key)
+            assert ring.count == forecaster.seq == len(ticks)
+            with ShardRouter(artifact_dir) as fresh_router:
+                recovered = Gateway(fresh_router, ApiKeyRegistry(
+                    keys_path)).forecaster_for()
+                recovered.restore_from(snapdir)
+                assert recovered.seq == len(ticks)
+                assert recovered.state(key)._buffer.tobytes() == \
+                    ring._buffer.tobytes()
+
+    def test_rescan_resets_the_resolved_model(self, keys_path, tmp_path,
+                                              history, rng):
+        # A dataset-less request resolves to the only bundle.  Once a
+        # rescan finds a second one, the same request is ambiguous: 404.
+        directory = str(tmp_path / "artifacts")
+        os.makedirs(directory)
+        make_bundle(directory)
+        tick = rng.normal(size=N).tolist()
+        with ShardRouter(directory) as router:
+            gateway = Gateway(router, ApiKeyRegistry(keys_path))
+            tenant_key = gateway.authenticate("k-acme")
+            assert gateway.ingest(tenant_key, {
+                "series": "s1", "timestamp": 0.0,
+                "values": tick}).status == 200
+            assert gateway.predict(tenant_key, {
+                "history": history.tolist()}).status == 200
+            make_bundle(directory, name="etth1-h8.npz", dataset="ETTh1")
+            router.scan()
+            ingest = gateway.ingest(tenant_key, {
+                "series": "s1", "timestamp": 1.0, "values": tick})
+            predict = gateway.predict(tenant_key, {
+                "history": history.tolist()})
+            assert (ingest.status, predict.status) == (404, 404)
+            assert "ambiguous" in ingest.payload["error"]
+            assert gateway.ingest(tenant_key, {
+                "series": "s1", "timestamp": 1.0, "values": tick,
+                "dataset": "ETTm1"}).status == 200
+            assert gateway.predict(tenant_key, {
+                "history": history.tolist(),
+                "dataset": "ETTh1"}).status == 200
+
+    def test_quota_raise_lands_on_the_next_tick(self, gateway, keys_path,
+                                                rng):
+        tenant_key = gateway.authenticate("k-tiny")  # 9 issued units
+        run = rng.normal(size=(10, N))
+        for index, row in enumerate(run[:9]):
+            assert gateway.ingest(tenant_key, {
+                "series": "s1", "timestamp": float(index),
+                "values": row.tolist()}).status == 200
+        payload = {"series": "s1", "timestamp": 9.0,
+                   "values": run[9].tolist()}
+        assert gateway.ingest(tenant_key, payload).status == 429
+        write_keys_file(keys_path, {
+            "k-acme": {"tenant": "acme", "units": 1000},
+            "k-tiny": {"tenant": "tiny", "units": 12},
+        })
+        os.utime(keys_path, ns=(3, 3))  # force an mtime_ns change
+        raised = gateway.authenticate("k-tiny")
+        assert gateway.ingest(raised, payload).status == 200
+        usage = usage_of(gateway, "tiny")
+        assert (usage["issued"], usage["spent"], usage["remaining"]) \
+            == (12, 10, 2)
+
+    def test_one_commit_keeps_spent_and_ops_by_kind(self, gateway, rng,
+                                                    history):
+        tenant_key = gateway.authenticate("k-acme")
+        run = rng.normal(size=(6, N))
+        assert gateway.ingest(tenant_key, {
+            "series": "s1", "timestamp": 0.0,
+            "values": run[:4].tolist()}).status == 200
+        for index in (4, 5):
+            assert gateway.ingest(tenant_key, {
+                "series": "s1", "timestamp": float(index),
+                "values": run[index].tolist()}).status == 200
+        assert gateway.predict(tenant_key, {
+            "history": history.tolist()}).status == 200
+        usage = usage_of(gateway, "acme")
+        assert usage["spent_by"] == {"ingest": 6 * INGEST_UNITS,
+                                     "predict": PREDICT_UNITS}
+        assert usage["ops_by"] == {"ingest": 3, "predict": 1}
+        assert usage["reserved"] == 0
 
     def test_overflowing_forward_is_refused_in_strict_json(self, gateway,
                                                            rng):

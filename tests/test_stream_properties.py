@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.data import MultivariateTimeSeries, make_forecasting_data  # noqa: E402
@@ -159,7 +159,6 @@ class TestWindowArithmetic:
         # negative indexing agrees with the count
         np.testing.assert_array_equal(dataset[-1][0], last_history)
 
-    @settings(max_examples=25)
     @given(window_shapes(), st.floats(0.05, 1.0))
     def test_train_fraction_counts_windows_not_rows(self, shape, fraction):
         history, horizon, _ = shape
