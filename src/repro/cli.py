@@ -41,10 +41,9 @@ a final one) — and ``--resume`` recovers from them: forecasts after a
 kill/resume are bitwise identical to an uninterrupted run.  A
 directory that already holds chains is refused without ``--resume``.
 ``--resume`` under a different ``--workers`` reshards the recovered
-state through the ring, and so does the first ``--resume`` over an
-unlabeled ``snapshot-{seq}`` chain an older single-process run wrote;
-both then re-anchor the directory on the new ring and prune the
-superseded files.
+state through the ring, then re-anchors the directory on the new ring
+and prunes the superseded files.  ``--resume`` reads only the formats
+and file names this build writes and refuses anything older.
 
 ``gateway`` fronts the same serving stack with a multi-tenant HTTP
 server (see :mod:`repro.gateway`): API keys from a hot-reloadable
@@ -508,9 +507,8 @@ def _cmd_stream(args) -> int:
                 # Re-anchor the directory on the new ring: write every
                 # target shard's chain first (until then the old chains
                 # are the only durable copy), then drop the superseded
-                # labels — a shrink's orphans or a legacy unlabeled
-                # chain — a later --resume would otherwise merge back
-                # in as stale state.
+                # labels (a shrink's orphans), which a later --resume
+                # would otherwise merge back in as stale state.
                 snapshotter.checkpoint()
                 pruned = snapshotter.prune_foreign()
                 if pruned:

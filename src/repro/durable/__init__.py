@@ -16,8 +16,8 @@ repo's bitwise replay-parity guarantee:
   memory copies into a mapped segment, torn-tail aware, each key
   encoded once per segment), and the one file-naming
   scheme: every file written is ``snapshot-{shard}-{seq}.npz`` or
-  ``wal-{shard}-{seq}.log``.  Both read the format-1 layouts of earlier
-  builds and write only format 2.
+  ``wal-{shard}-{seq}.log``.  Both read only the format they write,
+  format 2, and refuse any other before a key is imported.
 * :mod:`~repro.durable.shard` — the snapshotter and the recoverer of
   a deployment (:mod:`repro.shard`, one worker by default):
   :class:`ShardedSnapshotter` keeps one chain per shard (a snapshot
@@ -26,9 +26,8 @@ repo's bitwise replay-parity guarantee:
   ``inactive → reading → verifying → importing → succeeded/failed``
   recovery that verifies every chain before touching live state,
   clears everything on a partial import (fail closed, never partial)
-  and reshards ``N → M`` through the target hash ring.  Unlabeled
-  chains from older single-process runs are read that way too, never
-  written.
+  and reshards ``N → M`` through the target hash ring.  A chain whose
+  names carry no shard label is refused before any chain is read.
 * :mod:`~repro.durable.recover` — the stage types and the per-chain
   reading and verifying steps.
 * :mod:`~repro.durable.faults` — deterministic fault injection (crash

@@ -47,8 +47,7 @@ __all__ = [
 
 #: Config fields that define *identity*: restoring across a difference
 #: in any of these would change window contents or grid semantics.
-#: Any other field (the cadence; the fallback and drift settings that
-#: older snapshots still carry) is policy and may differ.
+#: Any other field (the cadence, say) is policy and may differ.
 STRICT_CONFIG_FIELDS = (
     "dataset", "horizon", "input_len", "horizon_len", "num_variables",
     "interval", "policy", "max_gap", "capacity", "raw_values",
@@ -101,15 +100,14 @@ class ChainVerificationError(RuntimeError):
 # ----------------------------------------------------------------------
 # chain reading + verification (run once per shard label)
 # ----------------------------------------------------------------------
-def locate_chain(directory: str, *, shard: int | None = 0,
+def locate_chain(directory: str, *, shard: int = 0,
                  replay_wal: bool = True):
     """Find one shard's newest snapshot → ``(path, arrays)``.
 
     With no snapshot present but a WAL chain available and
     ``replay_wal`` set, ``(None, None)`` is returned for a WAL-only
-    bootstrap.  ``shard=None`` reads a legacy unlabeled chain.  This
-    is the recoverer's *reading* stage: failures raise
-    :class:`ChainVerificationError`.
+    bootstrap.  This is the recoverer's *reading* stage: failures
+    raise :class:`ChainVerificationError`.
     """
     snapshot_path = latest_snapshot(directory, shard=shard)
     arrays = None
@@ -125,7 +123,7 @@ def locate_chain(directory: str, *, shard: int | None = 0,
 
 
 def verify_chain(directory: str, snapshot_path, arrays, forecaster, *,
-                 shard: int | None = 0, replay_wal: bool = True,
+                 shard: int = 0, replay_wal: bool = True,
                  strict_wal: bool = True):
     """Verify one chain end to end → ``(state, records, snapshot_seq)``.
 

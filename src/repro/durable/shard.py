@@ -21,11 +21,11 @@ labels do not match the target ring — or any recovered key now hashes
 to a different shard — the recoverer routes every verified entry
 through the target ring instead of importing chains one-to-one, then
 replays all WAL ticks through the sharded front end (each tick lands
-on its new owner).  Legacy unlabeled ``snapshot-{seq}.npz`` chains,
-which older single-process runs wrote, are read as source shard
-``None`` and so always take this path; the CLI's re-anchor
-(``checkpoint`` then :meth:`ShardedSnapshotter.prune_foreign`) then
-removes them.
+on its new owner); the CLI's re-anchor (``checkpoint`` then
+:meth:`ShardedSnapshotter.prune_foreign`) then removes the superseded
+chains.  A chain whose file names carry no shard label
+(``snapshot-{seq}.npz``) is refused in the *reading* stage: this build
+reads only the names it writes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .recover import (
     RecoveryState,
 )
 from .snapshot import StreamSnapshotter
-from .wal import chain_files, chain_labels
+from .wal import RETIRED_LAYOUT_READER, chain_files, chain_labels
 
 __all__ = ["ShardedSnapshotter", "ShardedRecoverer"]
 
@@ -85,12 +85,12 @@ class ShardedSnapshotter:
 
         After a resharded recovery into the *same* directory, chains
         from labels outside the target ring (a shrink's orphaned
-        shards, or a legacy unlabeled chain) are superseded — their
-        keys now live in the target shards' chains, which start above
-        every source seq.  Left behind, a later recovery would merge
-        their stale entries back in.  Call this **after** the first
-        post-recovery :meth:`checkpoint`, never before: until the new
-        chains exist, the old ones are the only durable copy.
+        shards) are superseded — their keys now live in the target
+        shards' chains, which start above every source seq.  Left
+        behind, a later recovery would merge their stale entries back
+        in.  Call this **after** the first post-recovery
+        :meth:`checkpoint`, never before: until the new chains exist,
+        the old ones are the only durable copy.
 
         Returns the removed paths.
         """
@@ -110,10 +110,6 @@ class ShardedSnapshotter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _chain_label(shard) -> str:
-    return "legacy unlabeled chain" if shard is None else f"shard {shard}"
 
 
 def _sum_service_stats(states: list[dict]) -> dict:
@@ -194,15 +190,20 @@ class ShardedRecoverer:
         labels = chain_labels(directory)
         if not labels:
             return self._fail(f"no snapshot found in {directory!r}")
+        if None in labels:
+            return self._fail(
+                f"{directory!r} holds an unlabeled snapshot-{{seq}} / "
+                f"wal-{{seq}} chain, which is not supported (this build "
+                f"reads snapshot-{{shard}}-{{seq}} names; unlabeled "
+                f"chains were last read by {RETIRED_LAYOUT_READER})")
         chains: dict = {}
         for label in labels:
             try:
                 snapshot_path, arrays = locate_chain(
                     directory, shard=label, replay_wal=replay_wal)
             except ChainVerificationError as error:
-                return self._fail(
-                    f"{_chain_label(label)}: {error.reason}",
-                    **error.detail)
+                return self._fail(f"shard {label}: {error.reason}",
+                                  **error.detail)
             chains[label] = (snapshot_path, arrays)
 
         # ---- verifying ----------------------------------------------
@@ -216,9 +217,8 @@ class ShardedRecoverer:
                     shard=label, replay_wal=replay_wal,
                     strict_wal=strict_wal)
             except ChainVerificationError as error:
-                return self._fail(
-                    f"{_chain_label(label)}: {error.reason}",
-                    **error.detail)
+                return self._fail(f"shard {label}: {error.reason}",
+                                  **error.detail)
             verified[label] = (state, records)
             shard_detail[str(label)] = {
                 "snapshot_path": snapshot_path,

@@ -27,11 +27,9 @@ round-trips exactly, so a restore is bitwise.  A ring is stored once
 (``capacity`` rows): the second half of the doubled buffer only repeats
 the first, and :meth:`SeriesState.from_state` writes both halves back.
 
-Format 1 — per-key ``s{i}/buffer`` (the whole doubled buffer) and
-``s{i}/latest`` entries with per-key scalars in ``__meta__`` — is still
-read, never written.  Format-1 archives written before drift monitoring
-was removed also carry running statistics, drift state and issued
-forecasts per key; the reader ignores them.
+This build reads only the format it writes: an archive of any other
+format is refused with a :class:`SnapshotError` before a key is
+imported.
 
 :class:`StreamSnapshotter` attaches to a live forecaster and adds the
 two checkpoint policies — on-demand :meth:`~StreamSnapshotter.checkpoint`
@@ -50,7 +48,8 @@ from ..nn.serialization import load_arrays, save_arrays
 from ..persist import arrays_digest
 from .faults import crashpoint
 from .keys import decode_key, encode_key
-from .wal import TickWAL, chain_files, chain_path, wal_paths
+from .wal import (RETIRED_LAYOUT_READER, TickWAL, chain_files, chain_path,
+                  wal_paths)
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -66,8 +65,6 @@ __all__ = [
 
 #: Bump when the archive layout changes incompatibly.
 SNAPSHOT_FORMAT_VERSION = 2
-#: Every format this build reads.
-_READABLE_FORMATS = (1, 2)
 
 
 class SnapshotError(RuntimeError):
@@ -89,8 +86,8 @@ def write_snapshot(path: str, state: dict, *, artifact_digest=None,
     ``state`` is :meth:`StreamingForecaster.export_state` output;
     ``artifact_digest`` stamps the served weights so recovery refuses
     to import into a process serving different ones, and ``shard``
-    records which shard produced the state (``None`` in snapshots
-    older single-process runs wrote).  Returns the written path
+    records which shard produced the state in ``__meta__`` (recovery
+    reads the label from the file name).  Returns the written path
     (``.npz`` appended when missing).  Raises :class:`SnapshotError`
     when the latest forecasts mix dtypes, rather than upcast them.
     """
@@ -174,10 +171,11 @@ def verify_snapshot(arrays: dict, path: str) -> tuple[dict, dict]:
                 f"{path!r} is not a stream snapshot: missing entry "
                 f"{name!r}")
     version = int(arrays["__format__"])
-    if version not in _READABLE_FORMATS:
+    if version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotError(
             f"snapshot format {version} of {path!r} is not supported "
-            f"(this build reads formats {_READABLE_FORMATS})")
+            f"(this build reads format {SNAPSHOT_FORMAT_VERSION}; format "
+            f"1 was last read by {RETIRED_LAYOUT_READER})")
     if _snapshot_digest(arrays) != str(arrays["__digest__"]):
         raise SnapshotError(
             f"digest mismatch in {path!r}: the snapshot is corrupt or "
@@ -192,24 +190,9 @@ def verify_snapshot(arrays: dict, path: str) -> tuple[dict, dict]:
 
 
 def state_from_arrays(arrays: dict, config: dict, meta: dict) -> dict:
-    """Reassemble the :meth:`export_state`-shaped dict from an archive
-    of either format."""
-    if int(arrays["__format__"]) == 1:
-        entries = _entries_v1(arrays, meta)
-    else:
-        entries = _entries_v2(arrays, config, meta)
-    return {
-        "seq": int(meta["seq"]),
-        "config": config,
-        "stream_stats": meta["stream_stats"],
-        "service_stats": meta["service_stats"],
-        "entries": entries,
-    }
-
-
-def _entries_v2(arrays: dict, config: dict, meta: dict) -> list:
-    """Per-key entries of a columnar archive; each ring is a view of
-    ``rings`` (the import copies it into both halves)."""
+    """Reassemble the :meth:`export_state`-shaped dict from an archive;
+    each ring is a view of ``rings`` (the import copies it into both
+    halves)."""
     try:
         keys = meta["keys"]
         last_timestamps = meta["last_timestamps"]
@@ -255,63 +238,26 @@ def _entries_v2(arrays: dict, config: dict, meta: dict) -> list:
             "pending_ticks": int(pending[index]),
             "latest": forecast,
         })
-    return entries
-
-
-def _entries_v1(arrays: dict, meta: dict) -> list:
-    """Per-key entries of a format-1 archive (``s{i}/`` members).
-
-    Format 1 stored each whole doubled ring, ``(2 * capacity, N)``;
-    every row ever written is equal in both halves, so the first half
-    is the ring.
-    """
-    entries = []
-    for index, entry_meta in enumerate(meta["entries"]):
-        prefix = f"s{index}/"
-        try:
-            series_meta = entry_meta["series"]
-            capacity = int(series_meta["capacity"])
-            num_variables = int(series_meta["num_variables"])
-            buffer = arrays[prefix + "buffer"]
-            if buffer.shape != (2 * capacity, num_variables):
-                raise SnapshotError(
-                    f"snapshot entry {index} has a {buffer.shape} ring, "
-                    f"expected the doubled {(2 * capacity, num_variables)}")
-            entry = {
-                "key": decode_key(entry_meta["key"]),
-                "series": {
-                    "input_len": int(series_meta["input_len"]),
-                    "num_variables": num_variables,
-                    "capacity": capacity,
-                    "count": int(series_meta["count"]),
-                    "buffer": buffer[:capacity],
-                },
-                "last_timestamp": entry_meta["last_timestamp"],
-                "gaps": int(entry_meta["gaps"]),
-                "pending_ticks": int(entry_meta["pending_ticks"]),
-                "latest": (arrays[prefix + "latest"]
-                           if entry_meta["has_latest"] else None),
-            }
-        except KeyError as error:
-            raise SnapshotError(
-                f"snapshot entry {index} is missing {error} — truncated "
-                f"or mismatched archive") from error
-        entries.append(entry)
-    return entries
+    return {
+        "seq": int(meta["seq"]),
+        "config": config,
+        "stream_stats": meta["stream_stats"],
+        "service_stats": meta["service_stats"],
+        "entries": entries,
+    }
 
 
 # ----------------------------------------------------------------------
 # directory layout
 # ----------------------------------------------------------------------
-def snapshot_paths(directory: str, shard: int | None = 0):
-    """Sorted ``[(seq, path)]`` of one shard's snapshot files
-    (``shard=None`` selects a legacy unlabeled chain)."""
+def snapshot_paths(directory: str, shard: int = 0):
+    """Sorted ``[(seq, path)]`` of one shard's snapshot files."""
     return sorted((seq, path)
                   for kind, label, seq, path in chain_files(directory)
                   if kind == "snapshot" and label == shard)
 
 
-def latest_snapshot(directory: str, shard: int | None = 0) -> str | None:
+def latest_snapshot(directory: str, shard: int = 0) -> str | None:
     """Path of the highest-sequence snapshot in ``directory``, if any."""
     found = snapshot_paths(directory, shard=shard)
     return found[-1][1] if found else None
@@ -459,26 +405,29 @@ class StreamSnapshotter:
             return path
 
     def _prune(self) -> None:
-        """Drop snapshots beyond ``keep`` and WAL segments before them."""
+        """Drop snapshots beyond ``keep``, the WAL segments before them
+        and this shard's staging files.  No write of this shard is in
+        flight under its lock, so a staging file is one a crash inside
+        an atomic write left; other shards' are theirs to drop."""
         snapshots = snapshot_paths(self.directory, shard=self.shard)
-        if len(snapshots) <= self.keep:
-            return
-        stale, kept = snapshots[:-self.keep], snapshots[-self.keep:]
-        for _, path in stale:
+        stale = [path for _, path in snapshots[:-self.keep]]
+        if stale:
+            # Each WAL segment's base is a snapshot seq (rotation happens
+            # at checkpoint), so segments below the oldest kept snapshot
+            # only cover ticks some kept snapshot already contains.
+            oldest_kept = snapshots[-self.keep][0]
+            stale += [path for base, path
+                      in wal_paths(self.directory, shard=self.shard)
+                      if base < oldest_kept]
+        staging = (f"snapshot-{self.shard}-", f"wal-{self.shard}-")
+        stale += [os.path.join(self.directory, name)
+                  for name in os.listdir(self.directory)
+                  if name.startswith(staging) and name.endswith(".tmp")]
+        for path in stale:
             try:
                 os.unlink(path)
             except OSError:
                 pass
-        # Each WAL segment's base is a snapshot seq (rotation happens at
-        # checkpoint), so segments below the oldest kept snapshot only
-        # cover ticks some kept snapshot already contains.
-        oldest_kept = kept[0][0]
-        for base, path in wal_paths(self.directory, shard=self.shard):
-            if base < oldest_kept:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
 
     def close(self) -> None:
         """Detach from the forecaster and close the active WAL.

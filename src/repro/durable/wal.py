@@ -51,11 +51,9 @@ unmaps and truncates it the same way, so a cleanly closed segment has
 no zero tail and holds the same bytes a ``write()`` per record would
 have left.
 
-Format 1 — a ``TICK`` record whose body was a JSON line ``{"seq",
-"key", "timestamp", "shape"}`` followed by the raw values — is still
-read, never written.  Reopening a format-1 segment that holds only its
-header (a ``--resume`` right after a checkpoint written by an older
-build) rewrites it as format 2; one that holds records is refused.
+This build reads only the format it writes: a segment of any other
+format is refused with a :class:`WALError` before a record is read,
+and left as it is.
 
 ``read_wal`` is strict: a record whose frame is incomplete or whose
 CRC32 disagrees raises :class:`TornWALError` carrying the offset of the
@@ -90,8 +88,9 @@ __all__ = [
 ]
 
 WAL_FORMAT_VERSION = 2
-#: Every format this build reads.
-_READABLE_FORMATS = (1, 2)
+#: The last build that reads the retired layouts: format-1 snapshots and
+#: WAL segments, and chain files whose names carry no shard label.
+RETIRED_LAYOUT_READER = "commit 7fb55d7"
 WAL_MAGIC = b"REPRO-TICK-WAL\n"
 _RECORD_MAGIC = b"TICK"
 _FRAME = struct.Struct("<II")  # body length, crc32 of body
@@ -141,30 +140,22 @@ class TickWAL:
         os.makedirs(directory, exist_ok=True)
         #: Key → its encode_key JSON, encoded on the key's first tick.
         self._tokens: dict = {}
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-        if not fresh:
+        if os.path.exists(path) and os.path.getsize(path) > 0:
             # Repair-on-open: appending after a torn record would bury
             # every new record behind unparseable bytes — silent loss of
             # durable ticks at the next recovery.  Trim the torn tail
             # first; refuse files that are damaged beyond that.
             try:
-                header, records, end = scan_wal(path)
+                header, _, end = scan_wal(path)
             except TornWALError as torn:
                 with open(path, "r+b") as repair:
                     repair.truncate(torn.good_offset)
-                header, records, end = scan_wal(path)
+                header, _, end = scan_wal(path)
             if int(header.get("base_seq", -1)) != self.base_seq:
                 raise WALError(
                     f"{path!r} has base_seq {header.get('base_seq')!r}, "
                     f"expected {self.base_seq}")
-            if header["format"] != WAL_FORMAT_VERSION:
-                if records:
-                    raise WALError(
-                        f"{path!r} holds format-{header['format']} "
-                        f"records; this build appends only format "
-                        f"{WAL_FORMAT_VERSION}")
-                fresh = True  # header only: rewritten below
-        if fresh:
+        else:
             header = {
                 "format": WAL_FORMAT_VERSION,
                 "base_seq": self.base_seq,
@@ -295,7 +286,7 @@ class TickWAL:
 
 
 def read_wal(path: str):
-    """Parse a WAL segment (format 1 or 2) → ``(header, records)``.
+    """Parse a format-2 WAL segment → ``(header, records)``.
 
     Each record is ``{"seq", "key", "timestamp", "values"}`` with
     ``values`` a float64 array and ``key`` the decoded Python key.
@@ -324,11 +315,11 @@ def scan_wal(path: str):
         header = json.loads(blob[len(WAL_MAGIC):newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WALError(f"{path!r} has a corrupt header: {exc}") from exc
-    if header.get("format") not in _READABLE_FORMATS:
+    if header.get("format") != WAL_FORMAT_VERSION:
         raise WALError(
-            f"{path!r} has WAL format {header.get('format')!r}, "
-            f"expected one of {_READABLE_FORMATS}")
-    decode = _decode_v1 if header["format"] == 1 else _decode_v2
+            f"WAL format {header.get('format')!r} of {path!r} is not "
+            f"supported (this build reads format {WAL_FORMAT_VERSION}; "
+            f"format 1 was last read by {RETIRED_LAYOUT_READER})")
 
     records: list = []
     keys: dict = {}  # encoded key → decoded key, decoded once
@@ -363,7 +354,7 @@ def scan_wal(path: str):
                 good_offset=good, records=records)
         offset += length
         try:
-            records.append(decode(body, keys))
+            records.append(_decode(body, keys))
         except Exception as exc:
             raise WALError(
                 f"{path!r} has an undecodable record at byte {good}: "
@@ -393,19 +384,8 @@ def _uncommitted_tail(blob: bytes, offset: int) -> bool:
     return stop <= len(tail) and not tail[stop:].any()
 
 
-def _decode_v1(body: bytes, keys: dict) -> dict:
-    """A format-1 tick: JSON line header, then the raw values."""
-    newline = body.find(b"\n")
-    if newline < 0:
-        raise ValueError("record has no header line")
-    meta = json.loads(body[:newline].decode("utf-8"))
-    shape = tuple(int(d) for d in meta["shape"])
-    return _record(int(meta["seq"]), decode_key(meta["key"]),
-                   float(meta["timestamp"]), shape, body[newline + 1:])
-
-
-def _decode_v2(body: bytes, keys: dict) -> dict:
-    """A format-2 tick: the fixed-width head, the key, the raw values."""
+def _decode(body: bytes, keys: dict) -> dict:
+    """A tick: the fixed-width head, the key, the raw values."""
     seq, timestamp, ndim, rows, cols, key_length = _TICK.unpack_from(body)
     start = _TICK.size + key_length
     token = body[_TICK.size:start]
@@ -418,11 +398,8 @@ def _decode_v2(body: bytes, keys: dict) -> dict:
         shape = (rows, cols)
     else:
         raise ValueError(f"bad tick shape: ndim {ndim}, rows {rows}")
-    return _record(seq, key, timestamp, shape, body[start:])
-
-
-def _record(seq, key, timestamp, shape, payload: bytes) -> dict:
-    expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+    payload = body[start:]
+    expected = rows * cols * 8
     if len(payload) != expected:
         raise ValueError(
             f"{len(payload)} payload bytes, expected {expected}")
@@ -451,9 +428,9 @@ def chain_path(directory: str, kind: str, shard: int, seq: int) -> str:
 
 
 def _parse_stem(stem: str):
-    """``"3-000000000012"`` → ``(3, 12)``; ``"000000000012"`` (the
-    unlabeled name older single-process runs wrote) → ``(None, 12)``;
-    anything else → ``None`` (not a durable file of ours)."""
+    """``"3-000000000012"`` → ``(3, 12)``; ``"000000000012"`` (an
+    unlabeled name: never written, refused by recovery) →
+    ``(None, 12)``; anything else → ``None`` (not a durable file)."""
     if stem.isdigit():
         return None, int(stem)
     shard_part, sep, seq_part = stem.partition("-")
@@ -465,8 +442,9 @@ def _parse_stem(stem: str):
 def chain_files(directory: str) -> list:
     """Every durable file in ``directory`` → ``[(kind, shard, seq, path)]``.
 
-    ``shard`` is ``None`` for a legacy unlabeled chain: still read (the
-    recoverer reshards it onto the live ring), never written.
+    ``shard`` is ``None`` for an unlabeled name: listed, so a used
+    directory is still seen as used, but never read (the recoverer
+    refuses it).
     """
     if not os.path.isdir(directory):
         return []
@@ -482,15 +460,15 @@ def chain_files(directory: str) -> list:
 
 
 def chain_labels(directory: str) -> list:
-    """Distinct shard labels with snapshots or WAL segments, legacy
-    unlabeled (``None``) first."""
+    """Distinct shard labels with snapshots or WAL segments, unlabeled
+    (``None``) first."""
     labels = {shard for _, shard, _, _ in chain_files(directory)}
     return ([None] if None in labels else []) + sorted(labels - {None})
 
 
-def wal_paths(directory: str, start_seq: int = 0, shard: int | None = 0):
+def wal_paths(directory: str, start_seq: int = 0, shard: int = 0):
     """Sorted ``[(base_seq, path)]`` of one shard's WAL segments with
-    base >= ``start_seq`` (``shard=None`` selects a legacy chain)."""
+    base >= ``start_seq``."""
     return sorted((seq, path)
                   for kind, label, seq, path in chain_files(directory)
                   if kind == "wal" and label == shard and seq >= start_seq)

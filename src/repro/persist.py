@@ -62,7 +62,11 @@ class atomic_replace:
     def __enter__(self):
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        fd, self._tmp = tempfile.mkstemp(dir=directory, suffix=self.suffix)
+        # Named after the target, so whoever owns the target's name
+        # can find what a crash mid-write left.
+        fd, self._tmp = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(self.path) + ".",
+            suffix=self.suffix)
         self._handle = os.fdopen(fd, "wb")
         return self._handle
 

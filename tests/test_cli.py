@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.common import ExperimentScale, prepare_data, run_model_seeds
+from repro.nn.serialization import load_arrays, save_arrays
 
 MICRO_ARGS = ["--length", "500", "--epochs", "1", "--d-model", "16"]
 
@@ -157,8 +158,9 @@ def read_tree(directory: str) -> dict:
 
 
 class TestStreamSnapshotDir:
-    """stream --snapshot-dir: a used directory needs --resume, and the
-    first --resume over a legacy unlabeled chain re-anchors it."""
+    """stream --snapshot-dir: a used directory needs --resume, a
+    --resume on fewer workers re-anchors it, and an unlabeled or
+    format-1 chain is refused untouched."""
 
     @pytest.fixture()
     def artifacts(self, tmp_path) -> str:
@@ -188,32 +190,66 @@ class TestStreamSnapshotDir:
         assert "sharded streaming" not in captured.out  # nothing attached
         assert read_tree(snapdir) == before
 
-    def test_resume_migrates_a_legacy_unlabeled_chain(self, artifacts,
-                                                      tmp_path, capsys):
+    def test_resume_on_fewer_workers_reanchors_the_directory(
+            self, artifacts, tmp_path, capsys):
         snapdir = str(tmp_path / "snaps")
-        assert self.stream(artifacts, snapdir, 100) == 0
-        # Rename shard 0's chain to the unlabeled snapshot-{seq}.npz /
-        # wal-{seq}.log names older single-process runs wrote.
-        legacy = []
-        for name in os.listdir(snapdir):
-            kind, _, seq = name.partition("-0-")
-            legacy.append(f"{kind}-{seq}")
-            os.rename(os.path.join(snapdir, name),
-                      os.path.join(snapdir, legacy[-1]))
+        assert self.stream(artifacts, snapdir, 100, "--workers", "2") == 0
+        orphans = [name for name in os.listdir(snapdir)
+                   if name.startswith(("snapshot-1-", "wal-1-"))]
+        assert orphans
         capsys.readouterr()
 
         assert self.stream(artifacts, snapdir, 120, "--resume",
                            "--verify") == 0
         out = capsys.readouterr().out
-        assert "recovered 1 series at seq 100 from 1 shard chain(s) " \
+        assert "recovered 1 series at seq 100 from 2 shard chain(s) " \
             "[resharded]" in out
-        assert f"pruned {len(legacy)} superseded chain file(s)" in out
+        assert f"pruned {len(orphans)} superseded chain file(s)" in out
         assert "bitwise identical" in out and "parity: 0 " not in out
-        names = os.listdir(snapdir)
-        assert not set(legacy) & set(names)
-        assert any(name.startswith("snapshot-0-") for name in names)
         assert all(name.startswith(("snapshot-0-", "wal-0-"))
-                   for name in names)
+                   for name in os.listdir(snapdir))
+
+    def test_resume_refuses_an_unlabeled_chain_untouched(self, artifacts,
+                                                         tmp_path, capsys):
+        snapdir = str(tmp_path / "snaps")
+        assert self.stream(artifacts, snapdir, 100) == 0
+        # Rename shard 0's chain to the unlabeled snapshot-{seq}.npz /
+        # wal-{seq}.log names, which this build no longer reads.
+        for name in os.listdir(snapdir):
+            os.rename(os.path.join(snapdir, name),
+                      os.path.join(snapdir, name.replace("-0-", "-", 1)))
+        before = read_tree(snapdir)
+        capsys.readouterr()
+
+        assert self.stream(artifacts, snapdir, 120, "--resume") != 0
+        err = capsys.readouterr().err
+        assert "unlabeled snapshot-{seq}" in err
+        assert "last read by commit 7fb55d7" in err
+        # Still a used directory: a fresh run is refused too.
+        assert self.stream(artifacts, snapdir, 120) != 0
+        assert "--resume" in capsys.readouterr().err
+        assert read_tree(snapdir) == before
+
+    def test_resume_refuses_a_format1_chain_untouched(self, artifacts,
+                                                      tmp_path, capsys):
+        snapdir = str(tmp_path / "snaps")
+        assert self.stream(artifacts, snapdir, 100) == 0
+        # Stamp every snapshot with format 1, which this build no longer
+        # reads; the format check runs before the digest check.
+        for name in os.listdir(snapdir):
+            if name.startswith("snapshot-"):
+                path = os.path.join(snapdir, name)
+                arrays = load_arrays(path)
+                arrays["__format__"] = np.int64(1)
+                save_arrays(path, arrays)
+        before = read_tree(snapdir)
+        capsys.readouterr()
+
+        assert self.stream(artifacts, snapdir, 120, "--resume") != 0
+        err = capsys.readouterr().err
+        assert "snapshot format 1 of" in err
+        assert "last read by commit 7fb55d7" in err
+        assert read_tree(snapdir) == before
 
 
 class TestShardFlagValidation:

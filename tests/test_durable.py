@@ -40,7 +40,6 @@ from repro.durable import (
     TickWAL,
     TornWALError,
     WALError,
-    chain_files,
     chain_labels,
     decode_key,
     disarm_all,
@@ -58,10 +57,9 @@ from repro.durable import (
 )
 from repro.durable import wal as wal_module
 from repro.durable.faults import torn_tail
-from repro.durable.snapshot import state_from_arrays, verify_snapshot
 from repro.durable.wal import WAL_MAGIC, chain_path
 from repro.nn.serialization import load_arrays, save_arrays
-from repro.persist import arrays_digest, atomic_write_json
+from repro.persist import atomic_replace, atomic_write_json
 
 L, N, M = 32, 3, 8
 
@@ -137,36 +135,6 @@ DRIFT_CONFIG = {"fallback_naive": False,
                           "threshold": 8.0, "slack": 0.5}}
 
 
-def add_drift_state(arrays: dict) -> None:
-    """Rewrite snapshot ``arrays`` into the layout written while drift
-    monitoring existed: Welford moments, drift windows and an issued
-    forecast per key, the drift meta fields, the fallback/drift config
-    entries and the two drift counters; then re-digest."""
-    config = json.loads(str(arrays["__config__"]))
-    config.update(DRIFT_CONFIG)
-    meta = json.loads(str(arrays["__meta__"]))
-    meta["stream_stats"].update(fallbacks=0, drift_alarms=1)
-    for index, entry in enumerate(meta["entries"]):
-        prefix = f"s{index}/"
-        count = entry["series"]["count"]
-        arrays[prefix + "mean"] = np.full(N, 0.5)
-        arrays[prefix + "m2"] = np.full(N, 2.0 * count)
-        arrays[prefix + "drift_abs"] = np.array([0.75, 1.25])
-        arrays[prefix + "drift_sq"] = np.array([0.5, 1.5])
-        entry["alarm_counted"] = index == 0
-        entry["drift"] = {**DRIFT_CONFIG["drift"], "count": 2,
-                          "reference": None, "cusum": 0.0,
-                          "alarmed": index == 0}
-        entry["issued_at"] = []
-        if entry["has_latest"]:
-            arrays[prefix + "issued0"] = arrays[prefix + "latest"].copy()
-            entry["issued_at"] = [count - entry["pending_ticks"]]
-    arrays["__config__"] = np.array(json.dumps(config, sort_keys=True))
-    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-    arrays["__digest__"] = np.array(
-        arrays_digest(arrays, skip=("__digest__",)))
-
-
 #: Members of a format-2 snapshot (``latest`` only when one was issued).
 FORMAT2_MEMBERS = {"__format__", "__config__", "__meta__", "__digest__",
                    "rings", "counts", "gaps", "pending", "has_latest"}
@@ -192,77 +160,13 @@ def assert_current_layout(path: str) -> None:
         len(arrays["latest"]) if "latest" in arrays else 0)
 
 
-# ----------------------------------------------------------------------
-# format-1 writers: the layouts earlier builds wrote, kept here so the
-# readers' compatibility stays covered
-# ----------------------------------------------------------------------
-def write_snapshot_v1(path: str, state: dict, *, artifact_digest=None,
-                      shard=None) -> str:
-    """Write ``state`` (``export_state`` output) as a format-1 archive:
-    per-key ``s{i}/buffer`` (the whole doubled ring) and ``s{i}/latest``
-    members, per-key scalars in ``__meta__``."""
-    payload = {"__format__": np.int64(1),
-               "__config__": np.array(json.dumps(state["config"],
-                                                 sort_keys=True))}
-    entries = []
-    for index, entry in enumerate(state["entries"]):
-        series = entry["series"]
-        ring = np.asarray(series["buffer"])
-        payload[f"s{index}/buffer"] = np.concatenate([ring, ring])
-        if entry["latest"] is not None:
-            payload[f"s{index}/latest"] = np.asarray(entry["latest"])
-        entries.append({
-            "key": encode_key(entry["key"]),
-            "series": {name: int(series[name]) for name in (
-                "input_len", "num_variables", "capacity", "count")},
-            "last_timestamp": entry["last_timestamp"],
-            "gaps": int(entry["gaps"]),
-            "pending_ticks": int(entry["pending_ticks"]),
-            "has_latest": entry["latest"] is not None,
-        })
-    meta = {"seq": int(state["seq"]), "artifact_digest": artifact_digest,
-            "shard": shard, "stream_stats": state["stream_stats"],
-            "service_stats": state["service_stats"], "entries": entries}
-    payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-    payload["__digest__"] = np.array(
-        arrays_digest(payload, skip=("__digest__",)))
-    save_arrays(path, payload)
-    return path
-
-
-def write_wal_v1(path: str, header: dict, records: list) -> None:
-    """Write a format-1 WAL segment: a JSON header whose ``format`` is
-    1, then one ``TICK`` frame per record whose body is a JSON line
-    ``{"seq", "key", "timestamp", "shape"}`` and the raw values."""
-    blob = [WAL_MAGIC, json.dumps(dict(header, format=1),
-                                  sort_keys=True).encode() + b"\n"]
-    for record in records:
-        values = np.ascontiguousarray(record["values"], dtype=np.float64)
-        body = json.dumps({
-            "seq": record["seq"], "key": encode_key(record["key"]),
-            "timestamp": record["timestamp"],
-            "shape": list(values.shape)}, sort_keys=True).encode()
-        body += b"\n" + values.tobytes()
-        blob += [b"TICK", struct.pack("<II", len(body), zlib.crc32(body)),
-                 body]
-    with open(path, "wb") as handle:
-        handle.write(b"".join(blob))
-
-
-def downgrade_to_format1(snapdir: str) -> None:
-    """Rewrite every snapshot and WAL segment in ``snapdir`` in format 1,
-    as a directory left by an earlier build would hold them."""
-    for kind, shard, _, path in chain_files(snapdir):
-        if kind == "snapshot":
-            arrays = load_arrays(path)
-            meta = json.loads(str(arrays["__meta__"]))
-            state = state_from_arrays(arrays, *verify_snapshot(arrays, path))
-            write_snapshot_v1(path, state,
-                              artifact_digest=meta["artifact_digest"],
-                              shard=meta["shard"])
-        else:
-            header, records = read_wal(path)
-            write_wal_v1(path, header, records)
+def set_wal_format(path: str, version: int) -> None:
+    """Rewrite the ``format`` field of the segment header at ``path``."""
+    with open(path, "r+b") as handle:
+        blob = handle.read()
+        handle.seek(0)
+        handle.write(blob.replace(b'"format": 2', b'"format": %d' % version,
+                                  1))
 
 
 def wal_frames(path: str) -> list:
@@ -415,8 +319,6 @@ class TestTickWAL:
         (tmp_path / "wal-junk.log").write_text("x")
         assert [base for base, _ in wal_paths(directory, 40)] == [40, 80]
         assert [base for base, _ in wal_paths(directory, 0, shard=1)] == [40]
-        assert [base for base, _ in wal_paths(directory, 0, shard=None)] \
-            == [40]
         assert chain_labels(directory) == [None, 0, 1]
 
     def test_durable_size_tracks_flushes(self, tmp_path, rng):
@@ -481,14 +383,32 @@ class TestTickWAL:
         assert not isinstance(info.value, TornWALError)
 
     def test_format1_segment_with_records_refused(self, tmp_path, rng):
-        path = str(tmp_path / "wal-000000000000.log")
-        write_wal_v1(path, {"base_seq": 0}, [
-            {"seq": 1, "key": "k", "timestamp": 0.0,
-             "values": rng.normal(size=N)}])
-        _, records = read_wal(path)  # still read...
-        assert [r["key"] for r in records] == ["k"]
-        with pytest.raises(WALError, match="format-1 records"):
-            TickWAL(path, 0)  # ...never appended to
+        # Refused as a whole, never read as a torn segment whose records
+        # a lax recovery could trim.
+        path = str(tmp_path / "wal-0-000000000000.log")
+        with TickWAL(path, 0) as wal:
+            wal.append(1, "k", 0.0, rng.normal(size=N))
+        set_wal_format(path, 1)
+        before = file_bytes(path)
+        with pytest.raises(WALError, match="WAL format 1 of") as info:
+            read_wal(path)  # no longer read...
+        assert not isinstance(info.value, TornWALError)
+        with pytest.raises(WALError, match="WAL format 1 of"):
+            TickWAL(path, 0)  # ...and never appended to
+        assert file_bytes(path) == before
+
+    def test_format1_segment_is_refused_untouched(self, tmp_path):
+        # Neither a read nor a reopen touches a retired format's
+        # segment, not even one that holds only its header.
+        path = str(tmp_path / "wal-0-000000000000.log")
+        TickWAL(path, 0).close()
+        set_wal_format(path, 1)
+        before = file_bytes(path)
+        for reopen in (read_wal, lambda path: TickWAL(path, 0)):
+            with pytest.raises(WALError, match="WAL format 1 of") as info:
+                reopen(path)
+            assert "last read by commit 7fb55d7" in str(info.value)
+            assert file_bytes(path) == before
 
 
 # ----------------------------------------------------------------------
@@ -776,6 +696,27 @@ class TestStreamSnapshotter:
         assert all(base >= 40 for base, _ in wal_paths(snapdir))
         service.close()
 
+    def test_checkpoint_drops_its_shards_crashed_staging_files(
+            self, bundle_dir, walk, tmp_path):
+        # A kill inside a checkpoint's atomic write leaves its staging
+        # file: an atomic_replace entered and never exited.
+        snapdir = str(tmp_path / "snaps")
+        service, forecaster = make_forecaster(bundle_dir)
+        with ShardedSnapshotter(forecaster, snapdir) as snapshotter:
+            replay(forecaster, walk, max_ticks=20)
+            staged = {}
+            for shard in (0, 1):
+                stage = atomic_replace(
+                    chain_path(snapdir, "snapshot", shard, 20),
+                    suffix=".npz.tmp")
+                stage.__enter__().close()
+                staged[shard] = os.path.basename(stage._tmp)
+            snapshotter.checkpoint()
+        assert staged[1].startswith("snapshot-1-000000000020.npz.")
+        assert [name for name in os.listdir(snapdir)
+                if name.endswith(".tmp")] == [staged[1]]
+        service.close()
+
     def test_close_detaches(self, bundle_dir, walk, tmp_path):
         snapdir = str(tmp_path / "snaps")
         service, forecaster = make_forecaster(bundle_dir)
@@ -910,20 +851,46 @@ class TestInjectedFaults:
         assert "digest mismatch" in state.failure_reason
         service.close()
 
+    @pytest.mark.parametrize("version", [1, 99])
     def test_future_format_version_rejected(self, bundle_dir, walk,
-                                            tmp_path):
+                                            tmp_path, version):
         snapdir = str(tmp_path / "snaps")
         snapshot_after_replay(bundle_dir, walk, snapdir)
         path = latest_snapshot(snapdir)
         arrays = load_arrays(path)
-        arrays["__format__"] = np.int64(99)
+        arrays["__format__"] = np.int64(version)
         save_arrays(path, arrays)
         service, forecaster = make_forecaster(bundle_dir)
         state = ShardedRecoverer().recover(snapdir, forecaster,
                                            replay_wal=False)
         assert state.stage is RecoveryStages.FAILED
-        assert "format 99" in state.failure_reason
+        assert f"format {version}" in state.failure_reason
         assert "not supported" in state.failure_reason
+        assert "last read by commit 7fb55d7" in state.failure_reason
+        assert forecaster.keys() == []
+        service.close()
+
+    @pytest.mark.parametrize("ticks, strict_wal", [
+        # The checkpoint at tick 65 opened a header-only segment.
+        (65, True),
+        # strict_wal=False trims a torn tail; a retired segment holding
+        # ticks 66..70 is not torn, and is never trimmed to nothing.
+        (70, False),
+    ], ids=["header-only", "records-lax"])
+    def test_format1_wal_segment_fails_with_nothing_imported(
+            self, bundle_dir, walk, tmp_path, ticks, strict_wal):
+        snapdir = str(tmp_path / "snaps")
+        snapshot_after_replay(bundle_dir, walk, snapdir, every=13,
+                              ticks=ticks)
+        ((_, path),) = wal_paths(snapdir, 65)
+        set_wal_format(path, 1)
+        service, forecaster = make_forecaster(bundle_dir)
+        state = ShardedRecoverer().recover(snapdir, forecaster,
+                                           strict_wal=strict_wal)
+        assert state.stage is RecoveryStages.FAILED
+        assert "WAL format 1" in state.failure_reason
+        assert "last read by commit 7fb55d7" in state.failure_reason
+        assert forecaster.keys() == []
         service.close()
 
     def test_config_mismatch_rejected(self, bundle_dir, walk, tmp_path):
@@ -1137,84 +1104,6 @@ class TestSnapshotFormat:
             write_snapshot(str(tmp_path / "mixed"), state)
         service.close()
 
-    def test_format1_snapshot_recovers_bitwise(self, bundle_dir, walk,
-                                               tmp_path):
-        # The format-1 layout is read, never written: the next
-        # checkpoint of the restored universe is format 2.
-        restored = self.recover_rewritten(bundle_dir, walk, tmp_path,
-                                          lambda arrays: None)
-        assert_current_layout(checkpoint(restored, str(tmp_path / "next")))
-
-    def test_format1_ring_that_is_not_doubled_is_refused(
-            self, bundle_dir, walk, tmp_path):
-        # Format 1 stored each whole doubled ring; an archive holding
-        # anything else is mismatched and fails before any import.
-        service, forecaster = make_forecaster(bundle_dir)
-        replay(forecaster, walk, max_ticks=40)
-        snapdir = str(tmp_path / "snaps")
-        path = checkpoint(forecaster, snapdir)
-        downgrade_to_format1(snapdir)
-        arrays = load_arrays(path)
-        ring = arrays["s0/buffer"]
-        arrays["s0/buffer"] = ring[:len(ring) // 2].copy()
-        arrays["__digest__"] = np.array(
-            arrays_digest(arrays, skip=("__digest__",)))
-        save_arrays(path, arrays)
-
-        service2, restored = make_forecaster(bundle_dir)
-        state = ShardedRecoverer().recover(snapdir, restored,
-                                           replay_wal=False)
-        assert state.stage is RecoveryStages.FAILED
-        assert "expected the doubled" in state.failure_reason
-        assert restored.keys() == []
-        service.close()
-        service2.close()
-
-    def test_snapshot_stamped_with_engine_and_precision_recovers(
-            self, bundle_dir, walk, tmp_path):
-        # Snapshots written before the engine/precision options were
-        # removed carry both keys in __meta__; they must still import.
-        def stamp(arrays):
-            meta = json.loads(str(arrays["__meta__"]))
-            meta.update(engine="compiled", precision="float32")
-            arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-            arrays["__digest__"] = np.array(
-                arrays_digest(arrays, skip=("__digest__",)))
-
-        self.recover_rewritten(bundle_dir, walk, tmp_path, stamp)
-
-    def test_snapshot_with_drift_state_recovers(self, bundle_dir, walk,
-                                                tmp_path):
-        # Snapshots written while drift monitoring existed carry its
-        # state; the reader ignores it and the next checkpoint drops it.
-        restored = self.recover_rewritten(bundle_dir, walk, tmp_path,
-                                          add_drift_state)
-        assert_current_layout(checkpoint(restored, str(tmp_path / "next")))
-
-    @staticmethod
-    def recover_rewritten(bundle_dir, walk, tmp_path, rewrite):
-        """Checkpoint 40 ticks in format 1, ``rewrite`` the archive's
-        arrays in place, and recover it bitwise → the restored
-        forecaster."""
-        service, forecaster = make_forecaster(bundle_dir)
-        replay(forecaster, walk, max_ticks=40)
-        snapdir = str(tmp_path / "snaps")
-        path = checkpoint(forecaster, snapdir)
-        downgrade_to_format1(snapdir)
-        arrays = load_arrays(path)
-        assert int(arrays["__format__"]) == 1
-        rewrite(arrays)
-        save_arrays(path, arrays)
-
-        service2, restored = make_forecaster(bundle_dir)
-        state = ShardedRecoverer().recover(snapdir, restored,
-                                           replay_wal=False)
-        assert state.stage is RecoveryStages.SUCCEEDED
-        states_bitwise_equal(forecaster, restored)
-        service.close()
-        service2.close()
-        return restored
-
     def test_wal_header_with_drift_config_bootstraps(self, bundle_dir,
                                                      walk, tmp_path):
         # WAL segments written while drift monitoring existed carry the
@@ -1246,59 +1135,3 @@ class TestSnapshotFormat:
             assert key_state(recovered, key) == key_state(victim, key)
         assert_current_layout(checkpoint(recovered, str(tmp_path / "next")))
         service.close()
-
-    def test_format1_chain_recovers_bitwise(self, bundle_dir, walk,
-                                            tmp_path):
-        # Snapshots and WAL segments an earlier build left behind: the
-        # recovered universe is the victim's, bitwise, WAL tail included.
-        snapdir = str(tmp_path / "snaps")
-        service, victim = make_forecaster(bundle_dir)
-        ShardedSnapshotter(victim, snapdir, every=13)
-        replay(victim, walk, max_ticks=73)
-        downgrade_to_format1(snapdir)
-        for kind, _, _, path in chain_files(snapdir):
-            if kind == "wal":
-                assert read_wal(path)[0]["format"] == 1
-            else:
-                assert int(load_arrays(path)["__format__"]) == 1
-
-        service2, recovered = make_forecaster(bundle_dir)
-        state = recovered.restore_from(snapdir)
-        assert state.detail["replayed"] == 73 - 65
-        states_bitwise_equal(victim, recovered)
-        service.close()
-        service2.close()
-
-    def test_header_only_format1_segment_resumes_as_format2(
-            self, bundle_dir, walk, tmp_path):
-        # An earlier build checkpointed and died before the next tick:
-        # its newest WAL segment holds only a format-1 header.  Resuming
-        # reopens that segment, which is rewritten as format 2.
-        snapdir = str(tmp_path / "snaps")
-        service, reference = make_forecaster(bundle_dir)
-        replay(reference, walk, max_ticks=60)
-        service.close()
-
-        service, victim = make_forecaster(bundle_dir)
-        snapshotter = ShardedSnapshotter(victim, snapdir, every=0)
-        replay(victim, walk, max_ticks=40)
-        snapshotter.checkpoint()
-        service.close()
-        downgrade_to_format1(snapdir)
-        ((_, path),) = wal_paths(snapdir, 40)
-        assert read_wal(path) == ({**read_wal(path)[0], "format": 1}, [])
-
-        service, resumed = make_forecaster(bundle_dir)
-        resumed.restore_from(snapdir)
-        with ShardedSnapshotter(resumed, snapdir, every=0):
-            replay(resumed, walk, first_tick=40, max_ticks=20)
-        header, records = read_wal(path)
-        assert header["format"] == 2
-        assert [r["seq"] for r in records] == list(range(41, 61))
-        states_bitwise_equal(resumed, reference)
-
-        service2, again = make_forecaster(bundle_dir)
-        again.restore_from(snapdir)  # format-1 snapshot + format-2 tail
-        states_bitwise_equal(again, reference)
-        service.close()
-        service2.close()

@@ -30,7 +30,7 @@ def windows(draw):
 
 
 class TestPromptInvariants:
-    @settings(max_examples=30, deadline=None)
+    @settings(deadline=None)
     @given(windows())
     def test_all_token_ids_in_vocabulary(self, window):
         history, future = window
@@ -39,7 +39,7 @@ class TestPromptInvariants:
         assert prompt.token_ids.min() >= 0
         assert prompt.token_ids.max() < len(VOCAB)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(deadline=None)
     @given(windows())
     def test_gt_prompt_numeric_token_count(self, window):
         """GT prompt carries exactly H + M numeric tokens (stride 1)."""
@@ -50,7 +50,7 @@ class TestPromptInvariants:
         expected = history.shape[0] + future.shape[0]
         assert (numeric == expected).all()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(deadline=None)
     @given(windows())
     def test_gt_extends_hd_prefix(self, window):
         history, future = window
@@ -61,7 +61,7 @@ class TestPromptInvariants:
         np.testing.assert_array_equal(gt.token_ids[:, :prefix],
                                       hd.token_ids[:, :prefix])
 
-    @settings(max_examples=20, deadline=None)
+    @settings(deadline=None)
     @given(windows(), st.integers(2, 6))
     def test_stride_reduces_only_history_tokens(self, window, stride):
         history, future = window
@@ -75,7 +75,7 @@ class TestPromptInvariants:
         assert (b == expected).all()
         assert (b <= a).all()
 
-    @settings(max_examples=20, deadline=None)
+    @settings(deadline=None)
     @given(windows())
     def test_factory_matches_tokenizer(self, window):
         history, future = window
@@ -85,7 +85,7 @@ class TestPromptInvariants:
             factory.ground_truth(history, future).token_ids,
             tok.batch_ground_truth(history, future).token_ids)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(deadline=None)
     @given(windows())
     def test_identical_variables_get_identical_prompts(self, window):
         history, future = window

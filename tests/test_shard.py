@@ -24,10 +24,8 @@ from repro.durable import (
     chain_labels,
     flip_digest_byte,
     inject,
-    wal_paths,
-    write_snapshot,
 )
-from repro.serve import ForecastService, read_artifact_digest
+from repro.serve import ForecastService
 from repro.shard import (
     DEFAULT_VNODES,
     HashRing,
@@ -444,52 +442,31 @@ class TestShardedDurability:
         grown_router.close()
         ref_router.close()
 
-    def test_legacy_unsharded_chain_reshards_onto_a_ring(
-            self, bundle_dir, walk, tmp_path):
-        keys = KEYS[:4]
+    def test_unlabeled_chain_fails_in_reading(self, bundle_dir, walk,
+                                             tmp_path):
+        # snapshot-{seq}.npz / wal-{seq}.log carry no shard label; this
+        # build reads only the labelled names it writes.
         snapdir = str(tmp_path / "snaps")
-        # The unlabeled chain an older single-process run left behind:
-        # snapshot-{seq}.npz plus the wal-{seq}.log segment after it.
-        router, single = make_single(bundle_dir)
-        feed(single, walk, keys, ticks=40)
-        seq = single.seq
-        os.makedirs(snapdir)
-        write_snapshot(
-            os.path.join(snapdir, f"snapshot-{seq:012d}.npz"),
-            single.shards[0].export_state(),
-            artifact_digest=read_artifact_digest(
-                router.path_for(single.model_key)))
-        snapshotter = ShardedSnapshotter(single, snapdir, every=0)
-        feed(single, walk, keys, ticks=50, first_tick=40)
-        snapshotter.close()
-        ((_, labeled),) = wal_paths(snapdir, shard=0)
-        os.rename(labeled, os.path.join(snapdir, f"wal-{seq:012d}.log"))
-        assert chain_labels(snapdir) == [None]
-
-        ring_router, sharded = make_sharded(bundle_dir, workers=2)
-        state = sharded.restore_from(snapdir)
-        assert state.detail["resharded"] is True
-        assert state.detail["replayed"] == 4 * 10
-        assert_same_universe(sharded, single, seq=False)
-
-        # Re-anchor as `stream --resume` does: checkpoint the new ring,
-        # then prune — the unlabeled chain is read once, never written.
-        snapshotter = ShardedSnapshotter(sharded, snapdir, every=0)
-        snapshotter.checkpoint()
-        pruned = snapshotter.prune_foreign()
-        snapshotter.close()
-        assert sorted(map(os.path.basename, pruned)) == [
-            f"snapshot-{seq:012d}.npz", f"wal-{seq:012d}.log"]
-        assert chain_kinds(snapdir) == {("snapshot", 0), ("snapshot", 1),
-                                        ("wal", 0), ("wal", 1)}
+        router, _, _ = sharded_run_with_snapshots(
+            bundle_dir, walk, snapdir, workers=2)
+        router.close()
+        for _, shard, _, path in chain_files(snapdir):
+            if shard == 0:
+                name = os.path.basename(path).replace("-0-", "-", 1)
+                os.rename(path, os.path.join(snapdir, name))
+        assert chain_labels(snapdir) == [None, 1]
 
         fresh_router, fresh = make_sharded(bundle_dir, workers=2)
-        second = fresh.restore_from(snapdir)
-        assert second.detail["resharded"] is False
-        assert_same_universe(fresh, sharded)
+        recoverer = ShardedRecoverer()
+        state = recoverer.recover(snapdir, fresh)
+        assert state.stage is RecoveryStages.FAILED
+        assert "unlabeled snapshot-{seq}" in state.failure_reason
+        assert "last read by commit 7fb55d7" in state.failure_reason
+        assert recoverer.history == [
+            RecoveryStages.INACTIVE, RecoveryStages.READING,
+            RecoveryStages.FAILED]
+        assert fresh.keys() == []
         fresh_router.close()
-        ring_router.close()
-        router.close()
 
     def test_wal_replay_covers_post_checkpoint_ticks(self, bundle_dir,
                                                      walk, tmp_path):

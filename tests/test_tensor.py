@@ -262,7 +262,7 @@ class TestGraphMechanics:
 
 
 class TestPropertyBased:
-    @settings(max_examples=25, deadline=None)
+    @settings(deadline=None)
     @given(st.integers(0, 2**31 - 1), small_arrays)
     def test_random_composite_gradcheck(self, seed, shape):
         """Random elementwise+reduction graphs match finite differences."""
@@ -274,7 +274,7 @@ class TestPropertyBased:
 
         check_gradient(build, x)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_matmul_chain_gradcheck(self, seed):
         x = np.random.default_rng(seed).normal(size=(3, 3)) * 0.5
@@ -284,7 +284,7 @@ class TestPropertyBased:
 
         check_gradient(build, x)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(2, 6))
     def test_softmax_is_distribution(self, seed, rows, cols):
         x = np.random.default_rng(seed).normal(size=(rows, cols)) * 10
@@ -292,7 +292,7 @@ class TestPropertyBased:
         assert (out >= 0).all()
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(rows), atol=1e-5)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_unbroadcast_consistency(self, seed):
         """Broadcast add then sum-grad equals the broadcast multiplicity."""
