@@ -487,8 +487,9 @@ def _cmd_stream(args) -> int:
                     args.snapshot_dir, strict_wal=False,
                     recoverer=recoverer)
             except RecoveryError as error:
+                # history ends [..., stage that failed, FAILED].
                 print(f"recovery failed at stage "
-                      f"{recoverer.state().stage.value!r}: {error}",
+                      f"{recoverer.history[-2].value!r}: {error}",
                       file=sys.stderr)
                 return 1
             detail = recovered.detail

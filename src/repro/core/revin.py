@@ -11,6 +11,7 @@ import numpy as np
 
 from ..nn import Module, Parameter, Tensor
 from ..nn import init
+from ..nn.tensor import recording
 
 __all__ = ["RevIN"]
 
@@ -35,9 +36,18 @@ class RevIN(Module):
         self._std: np.ndarray | None = None
 
     def normalize(self, x: Tensor) -> Tensor:
-        """Normalize ``(B, T, N)`` over time; remember the statistics."""
+        """Normalize ``(B, T, N)`` over time; remember the statistics.
+
+        The statistics are constants to autograd, but they change with
+        every batch: a recorded step records their calls too."""
         mean = x.data.mean(axis=1, keepdims=True)
-        std = np.sqrt(x.data.var(axis=1, keepdims=True) + self.eps)
+        var = x.data.var(axis=1, keepdims=True)
+        std = np.sqrt(var + self.eps)
+        tape = recording()
+        if tape is not None:
+            tape.moments(x.data, 1, mean, var, np.empty_like(x.data))
+            tape.ufunc(np.add, var, self.eps, out=var)
+            tape.ufunc(np.sqrt, var, out=std)
         self._mean, self._std = mean, std
         out = (x - Tensor(mean)) / Tensor(std)
         if self.affine:

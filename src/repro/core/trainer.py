@@ -4,6 +4,12 @@ Phase A trains the cross-modality teacher on the reconstruction task;
 Phase B distills it into the student while optimizing the forecasting
 loss.  The frozen CLM's prompt embeddings are computed once per window
 and replayed from the :class:`EmbeddingStore` across epochs.
+
+Every step of every phase runs through one
+:class:`~repro.nn.tape.CompiledStep` per phase: the first batch of each
+shape runs through autograd and records a tape, later batches replay it
+bitwise (see :mod:`repro.nn.tape`).  The tapes are recorded inside
+:meth:`TimeKDTrainer.fit` and dropped when their phase returns.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from ..data.prompts import PromptFactory
 from ..data.windows import ForecastingData, WindowDataset
 from ..llm import CalibratedLanguageModel, Vocabulary, get_pretrained
 from ..llm.tokenizer import TokenizedPrompt
-from ..nn import AdamW, clip_grad_norm, no_grad
+from ..nn import AdamW, CompiledStep, clip_grad_norm, no_grad
 from ..nn import init as nn_init
 from ..nn.functional import mae_loss, mse_loss, smooth_l1_loss
 from ..nn.tensor import Tensor
@@ -230,6 +236,106 @@ class TimeKDTrainer:
         return None
 
     # ------------------------------------------------------------------
+    # the objectives one step minimizes: ``(gt, hd, history, target)``
+    # arrays in, scalar loss Tensor out
+    # ------------------------------------------------------------------
+    def _reconstruction_loss(self, gt, hd, history, target) -> Tensor:
+        """Algorithm 1: the teacher reconstructs the ground truth."""
+        output = self.teacher(gt, hd)
+        loss = smooth_l1_loss(output.reconstruction, Tensor(target))
+        return loss * self.config.lambda_recon
+
+    def _distillation_loss(self, gt, hd, history, target) -> Tensor:
+        """Algorithm 2 plus forecasting, from a frozen teacher."""
+        config = self.config
+        with no_grad():
+            teacher_out = self.teacher(gt, hd)
+        output = self.student(history)
+        fcst = smooth_l1_loss(output.prediction, Tensor(target))
+        loss = fcst * config.lambda_fcst
+        distill = pkd_loss(
+            config,
+            teacher_out.attention.data,
+            teacher_out.embeddings.data,
+            output.attention,
+            output.features,
+        )
+        return loss + distill * config.lambda_pkd
+
+    def _joint_loss(self, gt, hd, history, target) -> Tensor:
+        """Eq. 30: reconstruction, forecasting and PKD together."""
+        config = self.config
+        teacher_out = self.teacher(gt, hd)
+        student_out = self.student(history)
+        target = Tensor(target)
+        return (
+            smooth_l1_loss(teacher_out.reconstruction, target)
+            * config.lambda_recon
+            + smooth_l1_loss(student_out.prediction, target)
+            * config.lambda_fcst
+            + pkd_loss(
+                config,
+                teacher_out.attention,
+                teacher_out.embeddings,
+                student_out.attention,
+                student_out.features,
+                detach_teacher=False,
+            ) * config.lambda_pkd
+        )
+
+    # ------------------------------------------------------------------
+    # one epoch of compiled steps
+    # ------------------------------------------------------------------
+    def _epoch(self, step: CompiledStep, optimizer, seed: int,
+               with_history: bool = True) -> float:
+        """Run ``step`` over one shuffled epoch; returns the mean loss.
+
+        Every batch zeroes the gradients, runs the step's forward and
+        backward (through autograd on the first batch of each shape,
+        from that batch's tape after), then clips and updates."""
+        config = self.config
+        dataset = self.data.train
+        loader = _indexed_loader(dataset, config, seed=seed)
+        epoch_loss, batches = 0.0, 0
+        for indices, history, future in loader:
+            gt, hd = self._teacher_inputs(
+                dataset, indices, history, future, cache=True)
+            # Buffer-reusing zeroing: grads accumulate into the
+            # same allocations every step (optim.py's contract).
+            optimizer.zero_grad(set_to_none=False)
+            epoch_loss += step(
+                gt, hd, history.astype(np.float32) if with_history else None,
+                future.astype(np.float32))
+            clip_grad_norm(optimizer, config.grad_clip)
+            optimizer.step()
+            batches += 1
+        return epoch_loss / max(batches, 1)
+
+    def _distill_epochs(self, step: CompiledStep, optimizer,
+                        modules) -> list[float]:
+        """``student_epochs`` epochs of ``step`` with ``modules`` in
+        training mode, validating after each; keeps the student with the
+        best validation MSE."""
+        config = self.config
+        losses = []
+        best_val = float("inf")
+        for epoch in range(config.student_epochs):
+            for module in modules:
+                module.train()
+            losses.append(self._epoch(step, optimizer,
+                                      config.seed + 100 + epoch))
+            self.history["student_loss"].append(losses[-1])
+
+            val_mse = self.evaluate(self.data.val)["mse"]
+            self.history["val_mse"].append(val_mse)
+            if val_mse < best_val:
+                best_val = val_mse
+                self._best_student_state = self.student.state_dict()
+        if self._best_student_state is not None:
+            self.student.load_state_dict(self._best_student_state)
+        return losses
+
+    # ------------------------------------------------------------------
     # Phase A — Algorithm 1
     # ------------------------------------------------------------------
     def train_teacher(self) -> list[float]:
@@ -237,27 +343,11 @@ class TimeKDTrainer:
         config = self.config
         optimizer = AdamW(self.teacher.parameters(), lr=config.learning_rate,
                           weight_decay=config.weight_decay)
+        step = CompiledStep(self._reconstruction_loss)
         losses = []
-        dataset = self.data.train
         for epoch in range(config.teacher_epochs):
-            loader = _indexed_loader(dataset, config, seed=config.seed + epoch)
-            epoch_loss, batches = 0.0, 0
-            for indices, history, future in loader:
-                gt, hd = self._teacher_inputs(
-                    dataset, indices, history, future, cache=True)
-                output = self.teacher(gt, hd)
-                loss = smooth_l1_loss(
-                    output.reconstruction, Tensor(future.astype(np.float32)))
-                loss = loss * config.lambda_recon
-                # Buffer-reusing zeroing: grads accumulate into the
-                # same allocations every step (optim.py's contract).
-                optimizer.zero_grad(set_to_none=False)
-                loss.backward()
-                clip_grad_norm(optimizer, config.grad_clip)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
+            losses.append(self._epoch(step, optimizer, config.seed + epoch,
+                                      with_history=False))
             self.history["teacher_loss"].append(losses[-1])
         return losses
 
@@ -270,47 +360,8 @@ class TimeKDTrainer:
         optimizer = AdamW(self.student.parameters(), lr=config.learning_rate,
                           weight_decay=config.weight_decay)
         self.teacher.eval()
-        losses = []
-        dataset = self.data.train
-        best_val = float("inf")
-        for epoch in range(config.student_epochs):
-            self.student.train()
-            loader = _indexed_loader(dataset, config, seed=config.seed + 100 + epoch)
-            epoch_loss, batches = 0.0, 0
-            for indices, history, future in loader:
-                with no_grad():
-                    gt, hd = self._teacher_inputs(
-                        dataset, indices, history, future, cache=True)
-                    teacher_out = self.teacher(gt, hd)
-                output = self.student(history.astype(np.float32))
-                fcst = smooth_l1_loss(
-                    output.prediction, Tensor(future.astype(np.float32)))
-                loss = fcst * config.lambda_fcst
-                distill = pkd_loss(
-                    config,
-                    teacher_out.attention.data,
-                    teacher_out.embeddings.data,
-                    output.attention,
-                    output.features,
-                )
-                loss = loss + distill * config.lambda_pkd
-                optimizer.zero_grad(set_to_none=False)
-                loss.backward()
-                clip_grad_norm(optimizer, config.grad_clip)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-            self.history["student_loss"].append(losses[-1])
-
-            val_mse = self.evaluate(self.data.val)["mse"]
-            self.history["val_mse"].append(val_mse)
-            if val_mse < best_val:
-                best_val = val_mse
-                self._best_student_state = self.student.state_dict()
-        if self._best_student_state is not None:
-            self.student.load_state_dict(self._best_student_state)
-        return losses
+        return self._distill_epochs(CompiledStep(self._distillation_loss),
+                                    optimizer, [self.student])
 
     # ------------------------------------------------------------------
     # joint objective — paper Eq. 30
@@ -330,51 +381,8 @@ class TimeKDTrainer:
         parameters = self.teacher.parameters() + self.student.parameters()
         optimizer = AdamW(parameters, lr=config.learning_rate,
                           weight_decay=config.weight_decay)
-        losses = []
-        dataset = self.data.train
-        best_val = float("inf")
-        for epoch in range(config.student_epochs):
-            self.teacher.train()
-            self.student.train()
-            loader = _indexed_loader(dataset, config, seed=config.seed + 100 + epoch)
-            epoch_loss, batches = 0.0, 0
-            for indices, history, future in loader:
-                gt, hd = self._teacher_inputs(
-                    dataset, indices, history, future, cache=True)
-                teacher_out = self.teacher(gt, hd)
-                student_out = self.student(history.astype(np.float32))
-                target = Tensor(future.astype(np.float32))
-                loss = (
-                    smooth_l1_loss(teacher_out.reconstruction, target)
-                    * config.lambda_recon
-                    + smooth_l1_loss(student_out.prediction, target)
-                    * config.lambda_fcst
-                    + pkd_loss(
-                        config,
-                        teacher_out.attention,
-                        teacher_out.embeddings,
-                        student_out.attention,
-                        student_out.features,
-                        detach_teacher=False,
-                    ) * config.lambda_pkd
-                )
-                optimizer.zero_grad(set_to_none=False)
-                loss.backward()
-                clip_grad_norm(optimizer, config.grad_clip)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-            self.history["student_loss"].append(losses[-1])
-
-            val_mse = self.evaluate(self.data.val)["mse"]
-            self.history["val_mse"].append(val_mse)
-            if val_mse < best_val:
-                best_val = val_mse
-                self._best_student_state = self.student.state_dict()
-        if self._best_student_state is not None:
-            self.student.load_state_dict(self._best_student_state)
-        return losses
+        return self._distill_epochs(CompiledStep(self._joint_loss), optimizer,
+                                    [self.teacher, self.student])
 
     def fit(self) -> "TimeKDTrainer":
         """Train according to ``config.training_mode``.

@@ -92,11 +92,23 @@ class ShardedSnapshotter:
         :meth:`checkpoint`, never before: until the new chains exist,
         the old ones are the only durable copy.
 
+        A foreign label's ``snapshot-{label}-*.tmp`` and
+        ``wal-{label}-*.tmp`` staging files (a crash inside an atomic
+        write leaves them) go too: no snapshotter owns that label any
+        more, so none would ever sweep them.
+
         Returns the removed paths.
         """
         owned = {snapshotter.shard for snapshotter in self.snapshotters}
-        removed = sorted(path for _, shard, _, path
-                         in chain_files(self.directory) if shard not in owned)
+        removed = [path for _, shard, _, path
+                   in chain_files(self.directory) if shard not in owned]
+        for name in os.listdir(self.directory):
+            kind, _, rest = name.partition("-")
+            label = rest.partition("-")[0]
+            if (kind in ("snapshot", "wal") and name.endswith(".tmp")
+                    and label.isdigit() and int(label) not in owned):
+                removed.append(os.path.join(self.directory, name))
+        removed.sort()
         for path in removed:
             os.unlink(path)
         return removed

@@ -16,6 +16,7 @@ from .norm import LayerNorm, RMSNorm
 from .optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
 from .scheduler import CosineAnnealingLR, LRScheduler, StepLR, WarmupCosineLR
 from .serialization import load_arrays, load_module, save_arrays, save_module
+from .tape import CompiledStep, Tape
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, tensor, where
 from .transformer import FeedForward, PreLNEncoderLayer, TransformerEncoder
 
@@ -52,6 +53,8 @@ __all__ = [
     "Adam",
     "AdamW",
     "clip_grad_norm",
+    "CompiledStep",
+    "Tape",
     "LRScheduler",
     "StepLR",
     "CosineAnnealingLR",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .tensor import Tensor
+from .tensor import Tensor, recording
 
 __all__ = ["Dropout"]
 
@@ -24,8 +24,22 @@ class Dropout(Module):
         self._rng = rng or np.random.default_rng(0)
 
     def forward(self, x: Tensor) -> Tensor:
+        tape = recording()
+        if tape is not None:
+            tape.guard(self, "training")
+            tape.guard(self, "p")
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
+        draw = self._rng.random(x.shape)
+        kept = draw < keep
+        mask = kept.astype(np.float32) / keep
+        if tape is not None:
+            # Each replay draws the next mask from this generator, in
+            # the order autograd would.
+            tape.guard(self, "_rng")
+            tape.draw(self._rng, draw)
+            tape.ufunc(np.less, draw, keep, out=kept)
+            tape.copy(mask, kept)
+            tape.ufunc(np.true_divide, mask, keep, out=mask)
         return x * Tensor(mask)

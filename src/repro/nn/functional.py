@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _op, _sum, _unbroadcast, recording
 
 __all__ = [
     "relu",
@@ -66,30 +66,42 @@ def smooth_l1_loss(prediction: Tensor, target: Tensor, beta: float = 1.0) -> Ten
     else:
         target = prediction._coerce(target)
     p, t = prediction, target
-    diff = p.data - t.data
-    abs_diff = np.abs(diff)
-    inside = abs_diff < beta
+    diff = _op(np.subtract, p.data, t.data)
+    abs_diff = _op(np.abs, diff)
+    inside = _op(np.less, abs_diff, beta)
     half_over_beta = np.asarray(0.5 / beta, dtype=diff.dtype)
-    loss = np.where(inside, diff * diff * half_over_beta,
-                    abs_diff - np.asarray(0.5 * beta, dtype=abs_diff.dtype))
-    total = loss.sum()
+    quadratic = _op(np.multiply, _op(np.multiply, diff, diff), half_over_beta)
+    linear = _op(np.subtract, abs_diff,
+                 np.asarray(0.5 * beta, dtype=abs_diff.dtype))
+    loss = np.where(inside, quadratic, linear)
+    tape = recording()
+    if tape is not None:
+        # np.where has no out=; a masked copy selects the same bits.
+        tape.copy(loss, linear)
+        tape.copy(loss, quadratic, where=inside)
+    total = _sum(loss, None)
     scale = np.asarray(1.0 / loss.size, dtype=total.dtype)
 
     def backward(grad: np.ndarray) -> None:
         # The mean's gradient, uniform over the elements, split by the
         # where; the quadratic branch reaches d through both operands
         # of d * d, the linear one through |d|.
-        g = grad * scale
-        quadratic = g * inside * half_over_beta
-        d_grad = quadratic * diff
-        d_grad += quadratic * diff
-        d_grad += g * ~inside * np.sign(diff)
+        g = _op(np.multiply, grad, scale)
+        quadratic = _op(np.multiply, _op(np.multiply, g, inside),
+                        half_over_beta)
+        d_grad = _op(np.multiply, quadratic, diff)
+        _op(np.add, d_grad, _op(np.multiply, quadratic, diff), out=d_grad)
+        linear = _op(np.multiply, g, _op(np.invert, inside))
+        _op(np.add, d_grad, _op(np.multiply, linear, _op(np.sign, diff)),
+            out=d_grad)
         if p.requires_grad:
             p._accumulate(_unbroadcast(d_grad, p.shape), fresh=True)
         if t.requires_grad:
-            t._accumulate(_unbroadcast(-d_grad, t.shape), fresh=True)
+            t._accumulate(_unbroadcast(_op(np.negative, d_grad), t.shape),
+                          fresh=True)
 
-    return Tensor._make(total * scale, (p, t), backward, "smooth_l1")
+    return Tensor._make(_op(np.multiply, total, scale), (p, t), backward,
+                        "smooth_l1")
 
 
 def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, _op, _sum, recording
 
 __all__ = ["LayerNorm", "RMSNorm"]
 
@@ -24,9 +24,9 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     count as a float32 scalar.  Bitwise equal to ``np.mean``, whose
     float64 divide by an integer count rounds to the same float32
     quotient (see ``repro.infer.engine.emit_mean``)."""
-    total = np.add.reduce(a, -1, None, None, True)
-    return np.true_divide(total, np.asarray(a.shape[-1], dtype=a.dtype),
-                          out=total)
+    total = _sum(a, -1, keepdims=True)
+    return _op(np.true_divide, total, np.asarray(a.shape[-1], dtype=a.dtype),
+               out=total)
 
 
 def _fused_layer_norm(x: Tensor, gamma: Parameter, beta: Parameter,
@@ -37,18 +37,35 @@ def _fused_layer_norm(x: Tensor, gamma: Parameter, beta: Parameter,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
     data = xhat * gamma.data + beta.data
+    tape = recording()
+    if tape is not None:
+        # The same calls into the same arrays; the unnamed temporaries
+        # get buffers of their own.
+        centered = np.empty_like(xhat)
+        tape.moments(xd, -1, mu, var, centered)
+        std = tape.ufunc(np.add, var, eps, out=np.empty_like(var))
+        tape.ufunc(np.sqrt, std, out=std)
+        tape.ufunc(np.true_divide, 1.0, std, out=inv)
+        tape.ufunc(np.multiply, centered, inv, out=xhat)
+        scaled = tape.ufunc(np.multiply, xhat, gamma.data,
+                            out=np.empty_like(data))
+        tape.ufunc(np.add, scaled, beta.data, out=data)
 
     def backward(grad: np.ndarray) -> None:
         lead = tuple(range(grad.ndim - 1))
         if gamma.requires_grad:
-            gamma._accumulate((grad * xhat).sum(axis=lead), fresh=True)
+            gamma._accumulate(_sum(_op(np.multiply, grad, xhat), lead),
+                              fresh=True)
         if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=lead), fresh=True)
+            beta._accumulate(_sum(grad, lead), fresh=True)
         if x.requires_grad:
-            g = grad * gamma.data
+            g = _op(np.multiply, grad, gamma.data)
             g_mean = _mean_last(g)
-            gx_mean = _mean_last(g * xhat)
-            x._accumulate(inv * (g - g_mean - xhat * gx_mean), fresh=True)
+            gx_mean = _mean_last(_op(np.multiply, g, xhat))
+            # inv * (g - g_mean - xhat * gx_mean)
+            centered = _op(np.subtract, _op(np.subtract, g, g_mean),
+                           _op(np.multiply, xhat, gx_mean))
+            x._accumulate(_op(np.multiply, inv, centered), fresh=True)
 
     return Tensor._make(data, (x, gamma, beta), backward, "layer_norm")
 

@@ -23,7 +23,12 @@ The design follows the classic define-by-run tape:
   array;
 * broadcasting is supported for elementwise operations and batched matrix
   multiplication, with gradients reduced back to the input shapes by
-  :func:`_unbroadcast`.
+  :func:`_unbroadcast`;
+* while a :class:`repro.nn.tape.Tape` records (``_TAPE``), every op the
+  TimeKD training step runs also appends the numpy calls it made, bound
+  to the arrays they produced: its forward right after computing, its
+  backward (through :func:`_op`, :func:`_sum` and :func:`_reshape`) as
+  the closure runs.  Outside a recording that costs one ``None`` test.
 
 All tensors store ``float32`` data unless explicitly created otherwise;
 this halves memory traffic on the CPU-only substrate used for the TimeKD
@@ -40,6 +45,8 @@ import numpy as np
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
 
 _GRAD_ENABLED = True
+#: The tape recording the current step, or None (see repro.nn.tape).
+_TAPE = None
 
 
 @contextlib.contextmanager
@@ -63,6 +70,52 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+def recording():
+    """The :class:`~repro.nn.tape.Tape` recording the current step, or
+    None."""
+    return _TAPE
+
+
+@contextlib.contextmanager
+def record_into(tape):
+    """Append the calls of every op run inside the block to ``tape``."""
+    global _TAPE
+    if _TAPE is not None:
+        raise RuntimeError("a step is already being recorded")
+    _TAPE = tape
+    try:
+        yield tape
+    finally:
+        _TAPE = None
+
+
+def _op(fn, *args, out=None):
+    """``fn(*args)`` (into ``out`` when given), recorded on the tape
+    being recorded, if any.  Returns the result, as the tape's buffer
+    while recording."""
+    result = fn(*args) if out is None else fn(*args, out)
+    if _TAPE is not None:
+        result = _TAPE.ufunc(fn, *args, out=result)
+    return result
+
+
+def _sum(a: np.ndarray, axis, keepdims: bool = False):
+    """``a.sum(axis=axis, keepdims=keepdims)``: the same reduce, recorded
+    like :func:`_op`."""
+    result = np.add.reduce(a, axis, None, None, keepdims)
+    if _TAPE is not None:
+        result = _TAPE.reduce(np.add, a, axis, result, keepdims)
+    return result
+
+
+def _reshape(a: np.ndarray, shape) -> np.ndarray:
+    """``a.reshape(shape)``; a copy it makes is recorded."""
+    result = a.reshape(shape)
+    if _TAPE is not None:
+        _TAPE.reshaped(result, a)
+    return result
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that it matches ``shape`` after broadcasting.
 
@@ -74,11 +127,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum(grad, tuple(range(extra)))
     axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+        grad = _sum(grad, axes, keepdims=True)
+    return _reshape(grad, shape)
 
 
 def _expand_reduced(grad, shape: tuple[int, ...], axis, keepdims: bool):
@@ -88,8 +141,8 @@ def _expand_reduced(grad, shape: tuple[int, ...], axis, keepdims: bool):
         return grad
     axes = axis if isinstance(axis, tuple) else (axis,)
     reduced = {ax % len(shape) for ax in axes}
-    return grad.reshape([1 if i in reduced else n
-                         for i, n in enumerate(shape)])
+    return _reshape(grad, [1 if i in reduced else n
+                           for i, n in enumerate(shape)])
 
 
 def _as_array(value, dtype=np.float32) -> np.ndarray:
@@ -184,6 +237,8 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
+        if _TAPE is not None:
+            _TAPE.node(op, parents)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -220,8 +275,12 @@ class Tensor:
                 self.grad = grad
             else:
                 self.grad = grad.astype(self.data.dtype, copy=True)
+                if _TAPE is not None:
+                    _TAPE.copy(self.grad, grad)
         else:
             self.grad += grad
+            if _TAPE is not None:
+                _TAPE.ufunc(np.add, self.grad, grad, out=self.grad)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
@@ -283,6 +342,8 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         data = a.data + b.data
+        if _TAPE is not None:
+            data = _TAPE.ufunc(np.add, a.data, b.data, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -300,13 +361,16 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         data = a.data - b.data
+        if _TAPE is not None:
+            data = _TAPE.ufunc(np.subtract, a.data, b.data, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
                 ga = _unbroadcast(grad, a.shape)
                 a._accumulate(ga, fresh=ga is not grad)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad, b.shape), fresh=True)
+                b._accumulate(_unbroadcast(_op(np.negative, grad), b.shape),
+                              fresh=True)
 
         return Tensor._make(data, (a, b), backward, "sub")
 
@@ -317,12 +381,16 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         data = a.data * b.data
+        if _TAPE is not None:
+            data = _TAPE.ufunc(np.multiply, a.data, b.data, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * b.data, a.shape), fresh=True)
+                a._accumulate(_unbroadcast(_op(np.multiply, grad, b.data),
+                                           a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * a.data, b.shape), fresh=True)
+                b._accumulate(_unbroadcast(_op(np.multiply, grad, a.data),
+                                           b.shape), fresh=True)
 
         return Tensor._make(data, (a, b), backward, "mul")
 
@@ -332,14 +400,19 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         data = a.data / b.data
+        if _TAPE is not None:
+            data = _TAPE.ufunc(np.true_divide, a.data, b.data, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad / b.data, a.shape), fresh=True)
+                a._accumulate(_unbroadcast(_op(np.true_divide, grad, b.data),
+                                           a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(
-                    _unbroadcast(-grad * a.data / (b.data * b.data), b.shape),
-                    fresh=True)
+                # -grad * a / (b * b), in that evaluation order.
+                scaled = _op(np.multiply, _op(np.negative, grad), a.data)
+                b._accumulate(_unbroadcast(_op(
+                    np.true_divide, scaled, _op(np.multiply, b.data, b.data)),
+                    b.shape), fresh=True)
 
         return Tensor._make(data, (a, b), backward, "div")
 
@@ -426,10 +499,13 @@ class Tensor:
         a = self
         mask = a.data > 0
         data = a.data * mask
+        if _TAPE is not None:
+            mask = _TAPE.ufunc(np.greater, a.data, 0, out=mask)
+            data = _TAPE.ufunc(np.multiply, a.data, mask, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad * mask, fresh=True)
+                a._accumulate(_op(np.multiply, grad, mask), fresh=True)
 
         return Tensor._make(data, (a,), backward, "relu")
 
@@ -474,12 +550,15 @@ class Tensor:
         total = a.data.sum(axis=axis, keepdims=keepdims)
         scale = np.asarray(1.0 / count, dtype=total.dtype)
         data = total * scale
+        if _TAPE is not None:
+            total = _TAPE.reduce(np.add, a.data, axis, total, keepdims)
+            data = _TAPE.ufunc(np.multiply, total, scale, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
                 full = np.empty(a.shape, dtype=scale.dtype)
-                np.multiply(_expand_reduced(grad, a.shape, axis, keepdims),
-                            scale, out=full)
+                _op(np.multiply, _expand_reduced(grad, a.shape, axis, keepdims),
+                    scale, out=full)
                 a._accumulate(full, fresh=True)
 
         return Tensor._make(data, (a,), backward, "mean")
@@ -518,10 +597,12 @@ class Tensor:
             shape = tuple(shape[0])
         a = self
         data = a.data.reshape(shape)
+        if _TAPE is not None:
+            _TAPE.reshaped(data, a.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate(grad.reshape(a.shape))
+                a._accumulate(_reshape(grad, a.shape))
 
         return Tensor._make(data, (a,), backward, "reshape")
 
@@ -568,20 +649,22 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         data = np.matmul(a.data, b.data)
+        if _TAPE is not None:
+            data = _TAPE.ufunc(np.matmul, a.data, b.data, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                ga = np.matmul(grad, b.data.swapaxes(-1, -2))
+                ga = _op(np.matmul, grad, b.data.swapaxes(-1, -2))
                 if a.ndim == 1:
-                    ga = ga.sum(axis=tuple(range(ga.ndim - 1))) if ga.ndim > 1 else ga
-                    a._accumulate(ga.reshape(a.shape), fresh=True)
+                    ga = _sum(ga, tuple(range(ga.ndim - 1))) if ga.ndim > 1 else ga
+                    a._accumulate(_reshape(ga, a.shape), fresh=True)
                 else:
                     a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
             if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), grad)
+                gb = _op(np.matmul, a.data.swapaxes(-1, -2), grad)
                 if b.ndim == 1:
-                    gb = gb.sum(axis=tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
-                    b._accumulate(gb.reshape(b.shape), fresh=True)
+                    gb = _sum(gb, tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
+                    b._accumulate(_reshape(gb, b.shape), fresh=True)
                 else:
                     b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
@@ -595,14 +678,23 @@ class Tensor:
     def softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable softmax as a fused primitive."""
         a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        peak = a.data.max(axis=axis, keepdims=True)
+        shifted = a.data - peak
         exps = np.exp(shifted)
-        data = exps / exps.sum(axis=axis, keepdims=True)
+        total = exps.sum(axis=axis, keepdims=True)
+        data = exps / total
+        if _TAPE is not None:
+            _TAPE.reduce(np.maximum, a.data, axis, peak, True)
+            _TAPE.ufunc(np.subtract, a.data, peak, out=shifted)
+            _TAPE.ufunc(np.exp, shifted, out=exps)
+            _TAPE.reduce(np.add, exps, axis, total, True)
+            _TAPE.ufunc(np.true_divide, exps, total, out=data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                dot = (grad * data).sum(axis=axis, keepdims=True)
-                a._accumulate(data * (grad - dot), fresh=True)
+                dot = _sum(_op(np.multiply, grad, data), axis, keepdims=True)
+                a._accumulate(_op(np.multiply, data,
+                                  _op(np.subtract, grad, dot)), fresh=True)
 
         return Tensor._make(data, (a,), backward, "softmax")
 

@@ -197,6 +197,12 @@ class TestStreamSnapshotDir:
         orphans = [name for name in os.listdir(snapdir)
                    if name.startswith(("snapshot-1-", "wal-1-"))]
         assert orphans
+        # What a crash inside shard 1's atomic writes would leave.
+        staging = ["snapshot-1-000000000100.npz.crash.tmp",
+                   "wal-1-000000000100.log.crash.tmp"]
+        for name in staging:
+            open(os.path.join(snapdir, name), "wb").close()
+        orphans += staging
         capsys.readouterr()
 
         assert self.stream(artifacts, snapdir, 120, "--resume",
@@ -223,6 +229,7 @@ class TestStreamSnapshotDir:
 
         assert self.stream(artifacts, snapdir, 120, "--resume") != 0
         err = capsys.readouterr().err
+        assert "recovery failed at stage 'reading'" in err
         assert "unlabeled snapshot-{seq}" in err
         assert "last read by commit 7fb55d7" in err
         # Still a used directory: a fresh run is refused too.
@@ -247,6 +254,7 @@ class TestStreamSnapshotDir:
 
         assert self.stream(artifacts, snapdir, 120, "--resume") != 0
         err = capsys.readouterr().err
+        assert "recovery failed at stage 'verifying'" in err
         assert "snapshot format 1 of" in err
         assert "last read by commit 7fb55d7" in err
         assert read_tree(snapdir) == before

@@ -503,9 +503,18 @@ class TestShardedDurability:
         assert state.detail["resharded"] is True
         snapshotter = ShardedSnapshotter(small, snapdir, every=0)
         snapshotter.checkpoint()
+        # Staging files a crash inside an atomic write would leave: an
+        # owned label's stay for its own snapshotter to sweep, a
+        # foreign label's go with its chain.
+        owned = os.path.join(snapdir, "snapshot-1-000000000041.npz.x.tmp")
+        foreign = os.path.join(snapdir, "wal-3-000000000041.log.x.tmp")
+        for path in (owned, foreign):
+            open(path, "wb").close()
         pruned = snapshotter.prune_foreign()
         snapshotter.close()
         assert pruned  # shards 2 and 3 left chains behind
+        assert foreign in pruned and not os.path.exists(foreign)
+        assert owned not in pruned and os.path.exists(owned)
         assert chain_kinds(snapdir) == {("snapshot", 0), ("snapshot", 1),
                                         ("wal", 0), ("wal", 1)}
 
