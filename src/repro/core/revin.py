@@ -11,7 +11,7 @@ import numpy as np
 
 from ..nn import Module, Parameter, Tensor
 from ..nn import init
-from ..nn.tensor import recording
+from ..nn.tensor import _moments, _op
 
 __all__ = ["RevIN"]
 
@@ -39,15 +39,9 @@ class RevIN(Module):
         """Normalize ``(B, T, N)`` over time; remember the statistics.
 
         The statistics are constants to autograd, but they change with
-        every batch: a recorded step records their calls too."""
-        mean = x.data.mean(axis=1, keepdims=True)
-        var = x.data.var(axis=1, keepdims=True)
-        std = np.sqrt(var + self.eps)
-        tape = recording()
-        if tape is not None:
-            tape.moments(x.data, 1, mean, var, np.empty_like(x.data))
-            tape.ufunc(np.add, var, self.eps, out=var)
-            tape.ufunc(np.sqrt, var, out=std)
+        every batch, so their calls go through ``_op`` like an op's."""
+        mean, var = _moments(x.data, 1)
+        std = _op(np.sqrt, _op(np.add, var, self.eps))
         self._mean, self._std = mean, std
         out = (x - Tensor(mean)) / Tensor(std)
         if self.affine:

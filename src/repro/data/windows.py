@@ -52,13 +52,18 @@ class WindowDataset:
         return self.values[start:mid], self.values[mid:stop]
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather windows into ``(B, H, N)`` and ``(B, M, N)`` arrays."""
-        histories, futures = [], []
-        for index in indices:
-            history, future = self[int(index)]
-            histories.append(history)
-            futures.append(future)
-        return np.stack(histories), np.stack(futures)
+        """Gather windows into ``(B, H, N)`` and ``(B, M, N)`` arrays:
+        one row gather each, the values ``self[i]`` holds."""
+        starts = np.asarray(indices, dtype=np.intp).reshape(-1)
+        count = len(self)
+        if starts.size == 0:
+            raise ValueError("batch of no windows")
+        if starts.min() < -count or starts.max() >= count:
+            raise IndexError(f"window index out of range [{-count}, {count})")
+        starts = np.where(starts < 0, starts + count, starts)
+        rows = starts[:, None] + np.arange(self.history_length + self.horizon)
+        return (np.take(self.values, rows[:, :self.history_length], axis=0),
+                np.take(self.values, rows[:, self.history_length:], axis=0))
 
 
 @dataclass

@@ -38,7 +38,7 @@ from .recover import (
     RecoveryStages,
     RecoveryState,
 )
-from .snapshot import StreamSnapshotter
+from .snapshot import StreamSnapshotter, staging_files
 from .wal import RETIRED_LAYOUT_READER, chain_files, chain_labels
 
 __all__ = ["ShardedSnapshotter", "ShardedRecoverer"]
@@ -102,12 +102,8 @@ class ShardedSnapshotter:
         owned = {snapshotter.shard for snapshotter in self.snapshotters}
         removed = [path for _, shard, _, path
                    in chain_files(self.directory) if shard not in owned]
-        for name in os.listdir(self.directory):
-            kind, _, rest = name.partition("-")
-            label = rest.partition("-")[0]
-            if (kind in ("snapshot", "wal") and name.endswith(".tmp")
-                    and label.isdigit() and int(label) not in owned):
-                removed.append(os.path.join(self.directory, name))
+        removed += [path for shard, path in staging_files(self.directory)
+                    if shard not in owned]
         removed.sort()
         for path in removed:
             os.unlink(path)

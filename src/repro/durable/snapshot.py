@@ -58,6 +58,7 @@ __all__ = [
     "latest_snapshot",
     "load_snapshot_arrays",
     "snapshot_paths",
+    "staging_files",
     "state_from_arrays",
     "verify_snapshot",
     "write_snapshot",
@@ -257,6 +258,21 @@ def snapshot_paths(directory: str, shard: int = 0):
                   if kind == "snapshot" and label == shard)
 
 
+def staging_files(directory: str) -> list[tuple[int, str]]:
+    """``[(shard, path)]`` of the staging files in ``directory``: the
+    ``snapshot-{shard}-*.tmp`` and ``wal-{shard}-*.tmp`` files an atomic
+    write leaves behind when a crash cuts it short."""
+    found = []
+    for name in os.listdir(directory):
+        if not name.endswith(".tmp"):
+            continue
+        kind, _, rest = name.partition("-")
+        label = rest.partition("-")[0]
+        if kind in ("snapshot", "wal") and label.isdigit():
+            found.append((int(label), os.path.join(directory, name)))
+    return found
+
+
 def latest_snapshot(directory: str, shard: int = 0) -> str | None:
     """Path of the highest-sequence snapshot in ``directory``, if any."""
     found = snapshot_paths(directory, shard=shard)
@@ -419,10 +435,8 @@ class StreamSnapshotter:
             stale += [path for base, path
                       in wal_paths(self.directory, shard=self.shard)
                       if base < oldest_kept]
-        staging = (f"snapshot-{self.shard}-", f"wal-{self.shard}-")
-        stale += [os.path.join(self.directory, name)
-                  for name in os.listdir(self.directory)
-                  if name.startswith(staging) and name.endswith(".tmp")]
+        stale += [path for shard, path in staging_files(self.directory)
+                  if shard == self.shard]
         for path in stale:
             try:
                 os.unlink(path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .tensor import Tensor, recording
+from .tensor import Tensor, _astype, _op, recording
 
 __all__ = ["Dropout"]
 
@@ -30,16 +30,14 @@ class Dropout(Module):
             tape.guard(self, "p")
         if not self.training or self.p == 0.0:
             return x
-        keep = 1.0 - self.p
-        draw = self._rng.random(x.shape)
-        kept = draw < keep
-        mask = kept.astype(np.float32) / keep
         if tape is not None:
             # Each replay draws the next mask from this generator, in
             # the order autograd would.
             tape.guard(self, "_rng")
-            tape.draw(self._rng, draw)
-            tape.ufunc(np.less, draw, keep, out=kept)
-            tape.copy(mask, kept)
-            tape.ufunc(np.true_divide, mask, keep, out=mask)
+        keep = 1.0 - self.p
+        # repro: allow[dtype-hygiene] — the draws rng.random(shape) makes
+        draw = np.empty(x.shape, dtype=np.float64)
+        _op(self._rng.random, None, np.float64, out=draw)
+        mask = _op(np.true_divide,
+                   _astype(_op(np.less, draw, keep), np.float32), keep)
         return x * Tensor(mask)

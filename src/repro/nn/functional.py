@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _op, _sum, _unbroadcast, recording
+from .tensor import Tensor, _call, _op, _reduce, _unbroadcast
 
 __all__ = [
     "relu",
@@ -71,15 +71,12 @@ def smooth_l1_loss(prediction: Tensor, target: Tensor, beta: float = 1.0) -> Ten
     inside = _op(np.less, abs_diff, beta)
     half_over_beta = np.asarray(0.5 / beta, dtype=diff.dtype)
     quadratic = _op(np.multiply, _op(np.multiply, diff, diff), half_over_beta)
-    linear = _op(np.subtract, abs_diff,
-                 np.asarray(0.5 * beta, dtype=abs_diff.dtype))
-    loss = np.where(inside, quadratic, linear)
-    tape = recording()
-    if tape is not None:
-        # np.where has no out=; a masked copy selects the same bits.
-        tape.copy(loss, linear)
-        tape.copy(loss, quadratic, where=inside)
-    total = _sum(loss, None)
+    # np.where(inside, quadratic, linear), put in place into linear: the
+    # same bits in the same layout (all three share diff's).
+    loss = _op(np.subtract, abs_diff,
+               np.asarray(0.5 * beta, dtype=abs_diff.dtype))
+    _call(np.putmask, loss, inside, quadratic, whole=False)
+    total = _reduce(np.add, loss, None)
     scale = np.asarray(1.0 / loss.size, dtype=total.dtype)
 
     def backward(grad: np.ndarray) -> None:

@@ -13,51 +13,31 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, _op, _sum, recording
+from .tensor import Tensor, _mean, _moments, _op, _reduce
 
 __all__ = ["LayerNorm", "RMSNorm"]
 
 
 def _mean_last(a: np.ndarray) -> np.ndarray:
-    """``a.mean(axis=-1, keepdims=True)`` without numpy's Python
-    ``_mean`` wrapper: the same ``np.add.reduce``, then a divide by the
-    count as a float32 scalar.  Bitwise equal to ``np.mean``, whose
-    float64 divide by an integer count rounds to the same float32
-    quotient (see ``repro.infer.engine.emit_mean``)."""
-    total = _sum(a, -1, keepdims=True)
-    return _op(np.true_divide, total, np.asarray(a.shape[-1], dtype=a.dtype),
-               out=total)
+    """``a.mean(axis=-1, keepdims=True)``, bitwise (see
+    :func:`~repro.nn.tensor._mean` and ``repro.infer.engine.emit_mean``)."""
+    return _mean(a, -1)
 
 
 def _fused_layer_norm(x: Tensor, gamma: Parameter, beta: Parameter,
                       eps: float) -> Tensor:
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    data = xhat * gamma.data + beta.data
-    tape = recording()
-    if tape is not None:
-        # The same calls into the same arrays; the unnamed temporaries
-        # get buffers of their own.
-        centered = np.empty_like(xhat)
-        tape.moments(xd, -1, mu, var, centered)
-        std = tape.ufunc(np.add, var, eps, out=np.empty_like(var))
-        tape.ufunc(np.sqrt, std, out=std)
-        tape.ufunc(np.true_divide, 1.0, std, out=inv)
-        tape.ufunc(np.multiply, centered, inv, out=xhat)
-        scaled = tape.ufunc(np.multiply, xhat, gamma.data,
-                            out=np.empty_like(data))
-        tape.ufunc(np.add, scaled, beta.data, out=data)
+    mu, var = _moments(x.data, -1)
+    inv = _op(np.true_divide, 1.0, _op(np.sqrt, _op(np.add, var, eps)))
+    xhat = _op(np.multiply, _op(np.subtract, x.data, mu), inv)
+    data = _op(np.add, _op(np.multiply, xhat, gamma.data), beta.data)
 
     def backward(grad: np.ndarray) -> None:
         lead = tuple(range(grad.ndim - 1))
         if gamma.requires_grad:
-            gamma._accumulate(_sum(_op(np.multiply, grad, xhat), lead),
-                              fresh=True)
+            gamma._accumulate(_reduce(np.add, _op(np.multiply, grad, xhat),
+                                      lead), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(_sum(grad, lead), fresh=True)
+            beta._accumulate(_reduce(np.add, grad, lead), fresh=True)
         if x.requires_grad:
             g = _op(np.multiply, grad, gamma.data)
             g_mean = _mean_last(g)

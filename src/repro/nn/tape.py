@@ -30,7 +30,14 @@ A tape holds parameter and gradient arrays that others can rebind:
 keeps the arrays every parameter it read had when it was recorded (and
 the dropout state it drew with) and checks them by identity before
 every replay; on any mismatch the step records again.  No tape is ever
-replayed against an array it did not record.
+replayed against an array it did not record.  So a step in which a
+parameter gets its first gradient is not kept at all: that gradient is
+a new array, and the optimizer binds it to its own buffer right after.
+The recording stops there and the step finishes through autograd; the
+next step, with every gradient bound, records the tape that replays.
+A training phase therefore runs two autograd steps for its full batch
+and one for its tail batch, and pays off once each layout replays a
+few times.
 
 Recording is process-wide, like :func:`~repro.nn.tensor.no_grad`: run
 one step at a time.  An op with no tape form raises while recording.
@@ -120,14 +127,16 @@ class Tape:
 
     def __init__(self, inputs: list):
         self.inputs = inputs
-        #: ``(fn, args, kwargs)`` per call while recording; pre-bound
-        #: calls once :meth:`finish` has placed the slots.
+        #: ``(fn, operands)`` per call while recording; pre-bound calls
+        #: once :meth:`finish` has placed the slots.
         self.ops: list = []
         self.loss: np.ndarray | None = None
-        #: Every parameter the step read → its (data, grad) before it.
-        self._params: dict[int, tuple] = {}
+        #: Set when a leaf got its first gradient (see the module doc).
+        self.abandoned = False
+        #: Every leaf the step read that is a parameter or takes a
+        #: gradient → its (data, grad) before it.
+        self._leaves: dict[int, tuple] = {}
         self._guards: dict[tuple, tuple] = {}
-        self._rebind: list[tuple] = []
         self._slots: dict[int, _Slot] = {}
         self._held: dict[int, np.ndarray] = {}
 
@@ -141,115 +150,81 @@ class Tape:
         value, which the caller uses from then on."""
         if not isinstance(out, np.ndarray):
             out = np.asarray(out)
-        self._append(fn, args + (out,), {}, out)
+        self._append(fn, args + (out,), out, True)
         return out
 
     def reduce(self, ufunc, a, axis, out, keepdims: bool = False):
         """Record ``ufunc.reduce(a, axis, None, out, keepdims)``."""
         if not isinstance(out, np.ndarray):
             out = np.asarray(out)
-        self._append(ufunc.reduce, (a, axis, None, out, keepdims), {}, out)
+        self._append(ufunc.reduce, (a, axis, None, out, keepdims), out, True)
         return out
 
-    def copy(self, dst: np.ndarray, src, where=None) -> None:
-        """Record ``np.copyto(dst, src)``, masked by ``where`` if given."""
-        kwargs = {} if where is None else {"where": where}
-        self._append(np.copyto, (dst, src), kwargs, dst)
-
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Record ``rng.random(out=out)``: the next uniform draws."""
-        self._append(rng.random, (None, np.float64, out), {}, out)
-
-    def moments(self, x: np.ndarray, axis: int, mean: np.ndarray,
-                var: np.ndarray, centered: np.ndarray) -> None:
-        """Record ``x.mean(axis, keepdims=True)`` into ``mean`` and
-        ``x.var(axis, keepdims=True)`` into ``var``, leaving ``x - mean``
-        in ``centered``.
-
-        These are the calls numpy's ``_mean`` and ``_var`` make for a
-        float array: a sum, then a divide by the ``intp`` count under
-        unsafe casting; the variance recomputes that same mean, centers,
-        squares, sums and divides.  The recomputed mean and the centered
-        array are bitwise the ones the caller needs, so they are made
-        once, without numpy's Python wrappers."""
-        count = np.intp(x.shape[axis])
-        unsafe = {"casting": "unsafe"}
-        self.reduce(np.add, x, axis, mean, True)
-        self._append(np.true_divide, (mean, count, mean), unsafe, mean)
-        self.ufunc(np.subtract, x, mean, out=centered)
-        square = self.ufunc(np.square, centered, out=np.empty_like(centered))
-        self.reduce(np.add, square, axis, var, True)
-        self._append(np.true_divide, (var, count, var), unsafe, var)
+    def call(self, fn, args: tuple, whole: bool = True) -> None:
+        """Record ``fn(*args)``, which writes into ``args[0]``: all of
+        it, without reading it, unless ``whole`` is false."""
+        self._append(fn, args, args[0], whole)
 
     def reshaped(self, result: np.ndarray, source: np.ndarray) -> None:
         """Record the copy a reshape made; a view needs none."""
         if not np.may_share_memory(result, source):
-            self.copy(result.reshape(source.shape), source)
+            self.call(np.copyto, (result.reshape(source.shape), source))
 
     def node(self, op: str, parents) -> None:
         """A graph node was made: check its op replays, and remember
-        the arrays of every parameter it reads."""
+        the arrays of every parameter, or other leaf taking a gradient,
+        that it reads."""
         if op not in REPLAYABLE:
             raise NotImplementedError(
                 f"op {op!r} has no tape form; a compiled step cannot "
                 f"record it")
+        leaves = self._leaves
         for parent in parents:
-            if isinstance(parent, Parameter) and id(parent) not in self._params:
-                self._params[id(parent)] = (parent, parent.data, parent.grad)
+            if (parent._backward is None and id(parent) not in leaves
+                    and (parent.requires_grad
+                         or isinstance(parent, Parameter))):
+                leaves[id(parent)] = (parent, parent.data, parent.grad)
 
     def guard(self, owner, attr: str) -> None:
         """Replay only while ``owner.attr`` is the object it is now."""
         self._guards.setdefault((id(owner), attr),
                                 (owner, attr, getattr(owner, attr)))
 
-    def _append(self, fn, args: tuple, kwargs: dict, written) -> None:
+    def _append(self, fn, args: tuple, written: np.ndarray,
+                whole: bool) -> None:
         index = len(self.ops)
         held, slots = self._held, self._slots
-        values = (*args, *kwargs.values()) if kwargs else args
-        operands = []
-        for array in values:
-            if isinstance(array, np.ndarray):
-                owner = array
-                while isinstance(owner.base, np.ndarray):
-                    owner = owner.base
-                key = id(owner)
-                if key not in held:
-                    slot = slots.get(key)
-                    # A slot whose array died may share this one's id.
-                    if slot is None or slot.ref() is not owner:
-                        if array is not written or not _first_write(
-                                values, kwargs, written, owner):
-                            held[key] = owner
-                            operands.append(array)
-                            continue
-                        slot = slots[key] = _Slot(owner, index)
-                    slot.last = index
-                    array = (slot if array is owner
-                             else _View(slot, array, owner))
-            operands.append(array)
-        self.ops.append((fn, tuple(operands[:len(args)]),
-                         dict(zip(kwargs, operands[len(args):]))))
+        operands = list(args)
+        for at, array in enumerate(args):
+            if not isinstance(array, np.ndarray):
+                continue
+            owner = _owner(array)
+            key = id(owner)
+            if key in held:
+                continue
+            slot = slots.get(key)
+            # A slot whose array died may share this one's id.
+            if slot is None or slot.ref() is not owner:
+                if array is not written or not whole or not _first_write(
+                        args, written, owner):
+                    held[key] = owner
+                    continue
+                slot = slots[key] = _Slot(owner, index)
+            slot.last = index
+            operands[at] = slot if array is owner else _View(slot, array,
+                                                             owner)
+        self.ops.append((fn, operands))
 
     def finish(self, loss: np.ndarray) -> None:
         """Close the recording of a step whose loss array is ``loss``:
         place the slots and bind the calls."""
-        # A first gradient lands on a parameter whose grad was None:
-        # each replay binds the buffer it wrote, as the backward did.
-        rebind = [(param, param.grad)
-                  for param, _, grad in self._params.values()
-                  if grad is None and param.grad is not None]
-        end = len(self.ops)
-        kept = []
-        for array in [loss] + [grad for _, grad in rebind]:
-            owner = _owner(array)
-            slot = self._slots.get(id(owner))
-            if slot is not None and slot.ref() is owner:
-                slot.last = end  # read after the replay
-                array = slot if array is owner else _View(slot, array, owner)
-            kept.append(array)
+        owner = _owner(loss)
+        slot = self._slots.get(id(owner))
+        if slot is not None and slot.ref() is owner:
+            slot.last = len(self.ops)  # read after the replay
+            loss = slot if loss is owner else _View(slot, loss, owner)
         used = {}
-        for value in chain(kept, *(chain(args, kwargs.values())
-                                   for _, args, kwargs in self.ops)):
+        for value in chain((loss,), *(operands for _, operands in self.ops)):
             slot = value.slot if type(value) is _View else value
             if type(slot) is _Slot:
                 used[id(slot)] = slot
@@ -265,13 +240,10 @@ class Tape:
                 return value.bind(arena, views)
             return value
 
-        self.ops = [partial(fn, *map(bound, args),
-                            **{k: bound(v) for k, v in kwargs.items()})
-                    for fn, args, kwargs in self.ops]
-        self.loss = bound(kept[0])
-        self._rebind = [(param, bound(grad))
-                        for (param, _), grad in zip(rebind, kept[1:])]
-        self._params = list(self._params.values())
+        self.ops = [partial(fn, *map(bound, operands))
+                    for fn, operands in self.ops]
+        self.loss = bound(loss)
+        self._leaves = list(self._leaves.values())
         self._guards = list(self._guards.values())
         self._slots = self._held = None
 
@@ -280,8 +252,8 @@ class Tape:
     # ------------------------------------------------------------------
     def valid(self) -> bool:
         """Whether every array and guard still is what was recorded."""
-        return (all(param.data is data and param.grad is grad
-                    for param, data, grad in self._params)
+        return (all(leaf.data is data and leaf.grad is grad
+                    for leaf, data, grad in self._leaves)
                 and all(getattr(owner, attr) is value
                         for owner, attr, value in self._guards))
 
@@ -292,8 +264,6 @@ class Tape:
                 np.copyto(buffer, array)
         for op in self.ops:
             op()
-        for param, grad in self._rebind:
-            param.grad = grad
         return float(self.loss)
 
 
@@ -308,15 +278,22 @@ def _owner(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _first_write(values: tuple, kwargs: dict, written: np.ndarray,
+def _first_write(args: tuple, written: np.ndarray,
                  owner: np.ndarray) -> bool:
-    """Whether a call writing ``written`` overwrites all of ``owner``
-    without reading it: no mask, the whole array, and no other operand
+    """Whether a call writing all of ``written`` overwrites all of
+    ``owner`` without reading it: the whole array, and no other operand
     in the same memory (an in-place call reads what it writes)."""
-    return (not kwargs and written.size == owner.size
-            and not any(value is not written and isinstance(value, np.ndarray)
-                        and _owner(value) is owner for value in values)
-            and sum(value is written for value in values) == 1)
+    if written.size != owner.size:
+        return False
+    seen = False
+    for value in args:
+        if value is written:
+            if seen:
+                return False
+            seen = True
+        elif isinstance(value, np.ndarray) and _owner(value) is owner:
+            return False
+    return True
 
 
 def _span(array: np.ndarray) -> int:
@@ -408,12 +385,14 @@ class CompiledStep:
         if tape is not None and tape.valid():
             self._tapes[key] = tape
             return tape.replay(inputs)
-        self._tapes[key], loss = self.record(inputs)
+        tape, loss = self.record(inputs)
+        if tape is not None:
+            self._tapes[key] = tape
         return loss
 
-    def record(self, inputs) -> tuple[Tape, float]:
+    def record(self, inputs) -> tuple[Tape | None, float]:
         """Run one step through autograd, recording it; returns the
-        tape and the step's loss."""
+        tape (None if the recording was abandoned) and the loss."""
         tape = Tape([_input_buffer(array) for array in inputs])
         # Recording makes thousands of small objects and frees them all;
         # a cyclic collection in the middle would find nothing to free.
@@ -424,6 +403,8 @@ class CompiledStep:
                 loss = self.loss_fn(*tape.inputs)
                 loss.backward()
             value, loss = loss.item(), loss.data  # frees the graph
+            if tape.abandoned:
+                return None, value
             tape.finish(loss)
         finally:
             if collecting:

@@ -24,11 +24,11 @@ The design follows the classic define-by-run tape:
 * broadcasting is supported for elementwise operations and batched matrix
   multiplication, with gradients reduced back to the input shapes by
   :func:`_unbroadcast`;
-* while a :class:`repro.nn.tape.Tape` records (``_TAPE``), every op the
-  TimeKD training step runs also appends the numpy calls it made, bound
-  to the arrays they produced: its forward right after computing, its
-  backward (through :func:`_op`, :func:`_sum` and :func:`_reshape`) as
-  the closure runs.  Outside a recording that costs one ``None`` test.
+* the ops the TimeKD training step runs make each numpy call through
+  :func:`_op`, :func:`_reduce`, :func:`_call` or :func:`_reshape`,
+  forward and backward alike; while a :class:`repro.nn.tape.Tape`
+  records (``_TAPE``), those append the call, bound to the array it
+  wrote.  Outside a recording that costs one ``None`` test per call.
 
 All tensors store ``float32`` data unless explicitly created otherwise;
 this halves memory traffic on the CPU-only substrate used for the TimeKD
@@ -89,6 +89,18 @@ def record_into(tape):
         _TAPE = None
 
 
+def _abandon() -> None:
+    """Stop the recording: a leaf gets its first gradient this step.
+
+    That gradient becomes a new array bound to the leaf, and whatever
+    binds it next (an optimizer's flat buffer) is an array the tape
+    never wrote, so the tape could never replay; the rest of the step
+    runs through autograd alone."""
+    global _TAPE
+    _TAPE.abandoned = True
+    _TAPE = None
+
+
 def _op(fn, *args, out=None):
     """``fn(*args)`` (into ``out`` when given), recorded on the tape
     being recorded, if any.  Returns the result, as the tape's buffer
@@ -99,13 +111,21 @@ def _op(fn, *args, out=None):
     return result
 
 
-def _sum(a: np.ndarray, axis, keepdims: bool = False):
-    """``a.sum(axis=axis, keepdims=keepdims)``: the same reduce, recorded
-    like :func:`_op`."""
-    result = np.add.reduce(a, axis, None, None, keepdims)
+def _reduce(ufunc, a: np.ndarray, axis, keepdims: bool = False):
+    """``ufunc.reduce(a, axis, keepdims=keepdims)`` (what ``a.sum`` and
+    ``a.max`` call), recorded like :func:`_op`."""
+    result = ufunc.reduce(a, axis, None, None, keepdims)
     if _TAPE is not None:
-        result = _TAPE.reduce(np.add, a, axis, result, keepdims)
+        result = _TAPE.reduce(ufunc, a, axis, result, keepdims)
     return result
+
+
+def _call(fn, *args, whole: bool = True) -> None:
+    """``fn(*args)``, a call writing into its first argument (all of it
+    unless ``whole`` is false), recorded like :func:`_op`."""
+    fn(*args)
+    if _TAPE is not None:
+        _TAPE.call(fn, args, whole)
 
 
 def _reshape(a: np.ndarray, shape) -> np.ndarray:
@@ -114,6 +134,43 @@ def _reshape(a: np.ndarray, shape) -> np.ndarray:
     if _TAPE is not None:
         _TAPE.reshaped(result, a)
     return result
+
+
+def _astype(a: np.ndarray, dtype) -> np.ndarray:
+    """``a.astype(dtype)``: a copy, recorded."""
+    result = np.empty_like(a, dtype=dtype)
+    _call(np.copyto, result, a)
+    return result
+
+
+def _mean(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a.mean(axis, keepdims=True)`` for a float32 ``a``: the same
+    sum, divided by the count as a float32 scalar.  numpy divides in
+    float64 and rounds the quotient to float32; for a quotient of two
+    float32 values (a count below 2**24 is one) that double rounding
+    gives the same float32, float64 having more than twice float32's
+    precision, so the bits are equal."""
+    total = _reduce(np.add, a, axis, True)
+    return _op(np.true_divide, total, np.asarray(a.shape[axis], a.dtype),
+               out=total)
+
+
+def _moments(a: np.ndarray, axis: int):
+    """``(a.mean(axis, keepdims=True), a.var(axis, keepdims=True))``.
+
+    While training or recording, numpy's own steps, each through
+    :func:`_op` or :func:`_reduce` so a tape replays them without
+    numpy's Python wrappers: sum and divide by the count (as
+    :func:`_mean`), then center, square, sum and divide.  A ``no_grad``
+    forward outside a recording (``StudentModel.predict``, the
+    reference ``test_compiled_engine_speedup`` measures the compiled
+    engine against) calls ``mean`` and ``var`` as it always did.  Both
+    give the same bits; ``tests/test_tape.py`` checks them."""
+    if _TAPE is None and not _GRAD_ENABLED:
+        return a.mean(axis, keepdims=True), a.var(axis, keepdims=True)
+    mean = _mean(a, axis)
+    centered = _op(np.subtract, a, mean)
+    return mean, _mean(_op(np.multiply, centered, centered), axis)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -127,10 +184,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = _sum(grad, tuple(range(extra)))
+        grad = _reduce(np.add, grad, tuple(range(extra)))
     axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
     if axes:
-        grad = _sum(grad, axes, keepdims=True)
+        grad = _reduce(np.add, grad, axes, keepdims=True)
     return _reshape(grad, shape)
 
 
@@ -269,18 +326,16 @@ class Tensor:
         and every later op on it computes the same bits.
         """
         if self.grad is None:
+            if _TAPE is not None and self._backward is None:
+                _abandon()
             if grad.dtype == self.data.dtype and (
                     fresh or (self._backward is not None
                               and self._consumers == 1)):
                 self.grad = grad
             else:
-                self.grad = grad.astype(self.data.dtype, copy=True)
-                if _TAPE is not None:
-                    _TAPE.copy(self.grad, grad)
+                self.grad = _astype(grad, self.data.dtype)
         else:
-            self.grad += grad
-            if _TAPE is not None:
-                _TAPE.ufunc(np.add, self.grad, grad, out=self.grad)
+            _op(np.add, self.grad, grad, out=self.grad)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
@@ -341,9 +396,7 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
-        data = a.data + b.data
-        if _TAPE is not None:
-            data = _TAPE.ufunc(np.add, a.data, b.data, out=data)
+        data = _op(np.add, a.data, b.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -360,9 +413,7 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
-        data = a.data - b.data
-        if _TAPE is not None:
-            data = _TAPE.ufunc(np.subtract, a.data, b.data, out=data)
+        data = _op(np.subtract, a.data, b.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -380,9 +431,7 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
-        data = a.data * b.data
-        if _TAPE is not None:
-            data = _TAPE.ufunc(np.multiply, a.data, b.data, out=data)
+        data = _op(np.multiply, a.data, b.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -399,9 +448,7 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
-        data = a.data / b.data
-        if _TAPE is not None:
-            data = _TAPE.ufunc(np.true_divide, a.data, b.data, out=data)
+        data = _op(np.true_divide, a.data, b.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -497,11 +544,8 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         a = self
-        mask = a.data > 0
-        data = a.data * mask
-        if _TAPE is not None:
-            mask = _TAPE.ufunc(np.greater, a.data, 0, out=mask)
-            data = _TAPE.ufunc(np.multiply, a.data, mask, out=data)
+        mask = _op(np.greater, a.data, 0)
+        data = _op(np.multiply, a.data, mask)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -547,12 +591,9 @@ class Tensor:
         # One node computing what ``sum * (1.0 / count)`` did, with the
         # same dtype-coerced scale, so forward and gradient keep their
         # bits.
-        total = a.data.sum(axis=axis, keepdims=keepdims)
+        total = _reduce(np.add, a.data, axis, keepdims)
         scale = np.asarray(1.0 / count, dtype=total.dtype)
-        data = total * scale
-        if _TAPE is not None:
-            total = _TAPE.reduce(np.add, a.data, axis, total, keepdims)
-            data = _TAPE.ufunc(np.multiply, total, scale, out=data)
+        data = _op(np.multiply, total, scale)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -596,9 +637,7 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         a = self
-        data = a.data.reshape(shape)
-        if _TAPE is not None:
-            _TAPE.reshaped(data, a.data)
+        data = _reshape(a.data, shape)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -648,22 +687,20 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
-        data = np.matmul(a.data, b.data)
-        if _TAPE is not None:
-            data = _TAPE.ufunc(np.matmul, a.data, b.data, out=data)
+        data = _op(np.matmul, a.data, b.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
                 ga = _op(np.matmul, grad, b.data.swapaxes(-1, -2))
                 if a.ndim == 1:
-                    ga = _sum(ga, tuple(range(ga.ndim - 1))) if ga.ndim > 1 else ga
+                    ga = _reduce(np.add, ga, tuple(range(ga.ndim - 1))) if ga.ndim > 1 else ga
                     a._accumulate(_reshape(ga, a.shape), fresh=True)
                 else:
                     a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
             if b.requires_grad:
                 gb = _op(np.matmul, a.data.swapaxes(-1, -2), grad)
                 if b.ndim == 1:
-                    gb = _sum(gb, tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
+                    gb = _reduce(np.add, gb, tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
                     b._accumulate(_reshape(gb, b.shape), fresh=True)
                 else:
                     b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
@@ -678,21 +715,13 @@ class Tensor:
     def softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable softmax as a fused primitive."""
         a = self
-        peak = a.data.max(axis=axis, keepdims=True)
-        shifted = a.data - peak
-        exps = np.exp(shifted)
-        total = exps.sum(axis=axis, keepdims=True)
-        data = exps / total
-        if _TAPE is not None:
-            _TAPE.reduce(np.maximum, a.data, axis, peak, True)
-            _TAPE.ufunc(np.subtract, a.data, peak, out=shifted)
-            _TAPE.ufunc(np.exp, shifted, out=exps)
-            _TAPE.reduce(np.add, exps, axis, total, True)
-            _TAPE.ufunc(np.true_divide, exps, total, out=data)
+        peak = _reduce(np.maximum, a.data, axis, True)
+        exps = _op(np.exp, _op(np.subtract, a.data, peak))
+        data = _op(np.true_divide, exps, _reduce(np.add, exps, axis, True))
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                dot = _sum(_op(np.multiply, grad, data), axis, keepdims=True)
+                dot = _reduce(np.add, _op(np.multiply, grad, data), axis, True)
                 a._accumulate(_op(np.multiply, data,
                                   _op(np.subtract, grad, dot)), fresh=True)
 

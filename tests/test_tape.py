@@ -19,15 +19,16 @@ from repro.core.trainer import TimeKDTrainer
 from repro.data import load_dataset, make_forecasting_data
 from repro.nn import AdamW, CompiledStep, Tape, clip_grad_norm
 from repro.nn.functional import smooth_l1_loss
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _moments, no_grad
 
 #: The fit-distill model: N=7, H=96, M=24, d_model 32, batch 16.
 FIT_DISTILL = TimeKDConfig(
     history_length=96, horizon=24, d_model=32, num_heads=2, num_layers=1,
     ffn_dim=64, batch_size=16, prompt_value_stride=8)
 VARIANTS = [None, "pi", "ca", "clm", "sca", "cd", "fd"]
-#: Full batches, then a tail batch of 2: record, record again once the
-#: optimizer has bound the gradients, replay; the tail records its own.
+#: Full batches, then a tail batch of 2: the first step binds the
+#: gradients (its recording is dropped), the second records, the third
+#: replays; the tail records its own tape, then replays it.
 BATCHES = [16, 16, 16, 2, 16, 2]
 
 
@@ -207,6 +208,22 @@ def test_dropout_switched_off_records_again(ett_data, tiny_clm):
     side_by_side(pair, "joint", schedule([16] * 5), between=evaluate_mode)
 
 
+def test_a_new_dropout_generator_records_again(ett_data, tiny_clm):
+    """A tape draws its masks from the generator it recorded with; a
+    module given a new one must not keep drawing from the old."""
+    config = FIT_DISTILL.with_updates(dropout=0.25)
+    pair = make_pair(config, ett_data, tiny_clm)
+
+    def reseed(index, runs):
+        if index == 2:
+            for run in runs:
+                for module in run.trainer.student.modules():
+                    if hasattr(module, "_rng"):
+                        module._rng = np.random.default_rng(11)
+
+    side_by_side(pair, "joint", schedule([16] * 5), between=reseed)
+
+
 def test_new_optimizer_rebinds_parameters(ett_data, tiny_clm):
     """``Optimizer.__init__`` moves every ``p.data`` into its own flat
     buffer; a tape holding the old arrays must record again."""
@@ -271,16 +288,44 @@ def test_a_tail_batch_of_one_keeps_its_strides(ett_data):
 # ----------------------------------------------------------------------
 def test_replay_copies_inputs_and_leaves_callers_arrays_alone():
     w = Tensor(np.ones((3, 2), np.float32), requires_grad=True)
+    w.grad = np.zeros_like(w.data)
     step = CompiledStep(lambda x: (Tensor(x).matmul(w) * 0.5).mean())
     first = np.arange(12, dtype=np.float32).reshape(4, 3)
     second = first[::-1].copy()
     kept = second.copy()
     for x in (first, second, second):
-        w.grad = None
+        w.grad.fill(0.0)
         step(x)
     np.testing.assert_array_equal(second, kept)
+    assert len(step._tapes) == 1
+    reference = Tensor(second).matmul(Tensor(w.data, requires_grad=True))
+    (reference * 0.5).mean().backward()
+    np.testing.assert_array_equal(w.grad, reference._parents[1].grad)
     with pytest.raises(ValueError, match="dense"):
         step(first[::2])
+
+
+def test_a_step_binding_first_gradients_keeps_no_tape():
+    """A parameter's first gradient is a new array, bound next by the
+    optimizer: no replay could write it, so that step's recording is
+    dropped and the step finishes through autograd."""
+    w = Tensor(np.ones((3, 2), np.float32), requires_grad=True)
+    step = CompiledStep(lambda x: (Tensor(x).matmul(w) * 0.5).mean())
+    x = np.arange(12, dtype=np.float32).reshape(4, 3)
+    losses = [step(x)]
+    assert not step._tapes
+    first = w.grad.copy()
+    for _ in range(2):  # accumulates: records, then replays
+        losses.append(step(x))
+        assert len(step._tapes) == 1
+    assert losses[0] == losses[1] == losses[2]
+    np.testing.assert_array_equal(w.grad, first * 3)
+    # Gradients dropped before every step: every step binds a first
+    # gradient, so none is recorded and each runs through autograd.
+    for _ in range(2):
+        w.grad = None
+        assert step(x) == losses[0]
+        np.testing.assert_array_equal(w.grad, first)
 
 
 def test_an_op_without_a_tape_form_refuses_to_record():
@@ -304,6 +349,22 @@ def test_tapes_pool_the_step_arrays(ett_data, tiny_clm):
     arena = next(iter(arenas.values()))
     assert arena.nbytes < 3_000_000
     assert isinstance(tape, Tape) and len(tape.ops) > 500
+
+
+@pytest.mark.parametrize("shape,axis", [((16, 96, 7), 1), ((16, 7, 32), -1),
+                                        ((2, 24, 7), 1), ((5, 3), 0)])
+def test_moments_are_numpys_bits(shape, axis):
+    """RevIN and LayerNorm take their statistics from ``_moments``:
+    numpy's steps one call at a time while training or recording,
+    numpy's ``mean`` and ``var`` under ``no_grad``.  The bits agree."""
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e4):
+        x = (rng.standard_normal(shape) * scale + scale).astype(np.float32)
+        expected = [x.mean(axis, keepdims=True).tobytes(),
+                    x.var(axis, keepdims=True).tobytes()]
+        assert [m.tobytes() for m in _moments(x, axis)] == expected
+        with no_grad():
+            assert [m.tobytes() for m in _moments(x, axis)] == expected
 
 
 # ----------------------------------------------------------------------
